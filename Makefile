@@ -15,7 +15,7 @@ test: fmt-check doc-check doc-links
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/server/ ./internal/client/ ./internal/shard/ ./internal/tuner/
-	$(GO) test -race ./internal/core/ -run 'TestRetune'
+	$(GO) test -race . ./internal/core/ -run 'TestRetune|TestCommit|TestReplicatedFailedAppend|TestIncrExcludesPut|TestReadsDoNotWaitOnWALSync'
 	$(MAKE) crash
 
 # gofmt is the only accepted formatting; -l lists offenders and the grep

@@ -1,8 +1,10 @@
 package lsmkv
 
 import (
+	"strings"
 	"testing"
 
+	"lsmkv/internal/vfs"
 	"lsmkv/internal/workload"
 )
 
@@ -17,6 +19,9 @@ import (
 //     allocs/op. The cached block decodes into a pooled readScratch;
 //     restart arrays, iterator key buffers, and the search key all come
 //     from the pool.
+//   - GetAppend on a key in an immutable memtable awaiting flush: 0
+//     allocs/op. The read takes the flush queue's slice header under
+//     the lock rather than copying the queue.
 //   - GetAppend on a cache miss: the one unavoidable allocation is the
 //     raw block handed to the cache (which takes ownership), plus cache
 //     bookkeeping — ceiling 6.
@@ -56,6 +61,47 @@ func TestGetAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, lookup); allocs > 0 {
 			t.Errorf("memtable-resident GetAppend: %.2f allocs/op, ceiling 0", allocs)
+		}
+	})
+
+	t.Run("pending-immutable", func(t *testing.T) {
+		// Park the flush worker at its table-file create, so the memtable
+		// holding the hot key stays queued as an immutable.
+		g := &gate{}
+		db3 := openOnFS(t, t.TempDir(), opts, gatedFS{FS: vfs.Default, g: g, createSuffix: ".sst"})
+		defer db3.Close()
+		defer g.open()
+		if err := db3.Put(hot, []byte("alloc-hot-value")); err != nil {
+			t.Fatal(err)
+		}
+		g.arm()
+		// Fill the memtable with other keys until it freezes and the
+		// flush parks.
+		filler := make([]byte, 1<<10)
+		for i := int64(0); !g.parkedNow(); i++ {
+			if i == 1<<14 {
+				t.Fatal("the memtable never froze")
+			}
+			if err := db3.Put(workload.Key(i), filler); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, tr, err := db3.GetTraced(hot); err != nil || !strings.HasPrefix(tr.Source, "immutable") {
+			t.Fatalf("hot key not served from an immutable memtable: source %q, %v", tr.Source, err)
+		}
+		var dst3 []byte
+		immLookup := func() {
+			v, err := db3.GetAppend(hot, dst3[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst3 = v
+		}
+		for i := 0; i < 16; i++ {
+			immLookup()
+		}
+		if allocs := testing.AllocsPerRun(200, immLookup); allocs > 0 {
+			t.Errorf("pending-immutable GetAppend: %.2f allocs/op, ceiling 0", allocs)
 		}
 	})
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lsmkv/internal/kv"
+	"lsmkv/internal/wal"
 )
 
 // WAL record encoding: one record per write batch.
@@ -66,10 +67,31 @@ func (db *DB) ApplyBatch(ops []BatchOp, sync bool) error {
 		start := time.Now()
 		defer func() { db.lat.Batch.Observe(time.Since(start)) }()
 	}
-	entries := make([]batchEntry, len(ops))
+	entries, logical, err := db.prepareBatch(ops, sync)
+	if err != nil {
+		return err
+	}
+	db.commitMu.Lock()
+	err = db.commitLocked(entries, logical, sync)
+	db.commitMu.Unlock()
+	if err == nil {
+		db.opts.Stats.BatchCommits.Add(1)
+		db.opts.Stats.BatchedOps.Add(int64(len(entries)))
+	}
+	return err
+}
+
+// prepareBatch validates ops and converts them to the entries the WAL and
+// memtable store. Key-value separation happens here, before any engine
+// lock: separated values are appended to the value log and replaced by
+// pointers, and one vlog sync covers them all when the commit will be
+// synced. logical is the batch as the caller wrote it, for the commit
+// hook, and is nil when it equals entries.
+func (db *DB) prepareBatch(ops []BatchOp, sync bool) (entries, logical []batchEntry, err error) {
+	entries = make([]batchEntry, len(ops))
 	for i, op := range ops {
 		if len(op.Key) == 0 {
-			return errors.New("lsmkv: empty key")
+			return nil, nil, errors.New("lsmkv: empty key")
 		}
 		switch op.Kind {
 		case kv.KindSet:
@@ -78,91 +100,128 @@ func (db *DB) ApplyBatch(ops []BatchOp, sync bool) error {
 			// The value already carries its expiry prefix; TTL entries are
 			// never vlog-separated (the separation gate below tests KindSet).
 			if len(op.Value) < kv.ExpiryLen {
-				return errors.New("lsmkv: ttl op value missing expiry prefix")
+				return nil, nil, errors.New("lsmkv: ttl op value missing expiry prefix")
 			}
 			entries[i] = batchEntry{kind: kv.KindSetTTL, key: op.Key, value: op.Value}
 		case kv.KindDelete:
 			entries[i] = batchEntry{kind: kv.KindDelete, key: op.Key}
 		default:
-			return errors.New("lsmkv: batch op kind must be set, setttl, or delete")
+			return nil, nil, errors.New("lsmkv: batch op kind must be set, setttl, or delete")
 		}
 	}
-
-	// Key-value separation happens outside the lock, like single writes:
-	// append separated values to the log, store pointers instead. One
-	// vlog sync covers every separated value in the batch.
-	separated := false
-	if db.vlog != nil {
-		for i := range entries {
-			e := &entries[i]
-			if e.kind == kv.KindSet && len(e.value) >= db.opts.ValueThreshold {
-				ptr, err := db.vlog.Append(e.key, e.value)
-				if err != nil {
-					return err
-				}
-				e.kind = kv.KindValuePointer
-				e.value = ptr.Encode()
-				separated = true
-			}
+	if db.vlog == nil {
+		return entries, nil, nil
+	}
+	for i := range entries {
+		e := &entries[i]
+		if e.kind != kv.KindSet || len(e.value) < db.opts.ValueThreshold {
+			continue
 		}
-		if separated && (sync || db.opts.WALSync) {
-			if err := db.vlog.Sync(); err != nil {
-				return err
-			}
+		if logical == nil {
+			// Followers cannot resolve vlog pointers, so the replication
+			// stream keeps the caller's values.
+			logical = append([]batchEntry(nil), entries...)
+		}
+		ptr, err := db.vlog.Append(e.key, e.value)
+		if err != nil {
+			return nil, nil, err
+		}
+		e.kind = kv.KindValuePointer
+		e.value = ptr.Encode()
+	}
+	// Under a synced commit the write is acknowledged as durable, so the
+	// separated values its WAL record points into must be durable too.
+	if logical != nil && (sync || db.opts.WALSync) {
+		if err := db.vlog.Sync(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return entries, logical, nil
+}
+
+// commitLocked commits one batch of engine-sequenced entries in three
+// phases, the split LevelDB's DBImpl::Write makes:
+//
+//  1. Reserve, under db.mu: backpressure, the closed/background-error
+//     check, the batch's seqs and the current WAL.
+//  2. Log, under commitMu alone: encode, append and (when asked) fsync.
+//     Reads never wait on this phase.
+//  3. Publish, under db.mu: commit hook, memtable insert, then db.seq.
+//
+// db.seq moves only in phase 3, after the insert, so a snapshot never
+// covers an unpublished write, and a write is never visible before its
+// sync returns. A failed append or sync still consumes its seqs: the
+// record may yet reach the log, and no later write may reuse them.
+// Caller holds db.commitMu.
+func (db *DB) commitLocked(entries, logical []batchEntry, sync bool) error {
+	db.mu.Lock()
+	if err := db.waitWriteLocked(); err != nil {
+		db.mu.Unlock()
+		return err
+	}
+	first := db.seq + 1
+	last := db.seq + kv.SeqNum(len(entries))
+	w := db.wal
+	db.mu.Unlock()
+
+	var rec []byte
+	if w != nil {
+		rec = encodeBatch(first, entries)
+		if err := db.logRecord(w, rec, sync); err != nil {
+			db.mu.Lock()
+			db.seq = last
+			db.mu.Unlock()
+			return err
 		}
 	}
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.waitWriteLocked(); err != nil {
-		return err
-	}
-	firstSeq := db.seq + 1
-	db.seq += kv.SeqNum(len(entries))
-	var rec []byte
-	if db.wal != nil {
-		rec = encodeBatch(firstSeq, entries)
-		if err := db.wal.AddRecord(rec); err != nil {
-			return err
-		}
-		db.opts.Stats.WALRecords.Add(1)
-		if db.opts.WALSync {
-			db.opts.Stats.WALSyncs.Add(1) // AddRecord synced internally
-		} else if sync {
-			if err := db.wal.Sync(); err != nil {
-				return err
-			}
-			db.opts.Stats.WALSyncs.Add(1)
-		}
-	}
 	if db.commitHook != nil {
-		// Ship the logical batch: when vlog separation rewrote entries
-		// into pointers, re-encode from the caller's untouched ops so
-		// followers receive resolvable values.
 		payload := rec
-		if separated || rec == nil {
-			logical := make([]batchEntry, len(ops))
-			for i, op := range ops {
-				logical[i] = batchEntry{kind: op.Kind, key: op.Key, value: op.Value}
-				if op.Kind == kv.KindDelete {
-					logical[i].value = nil
-				}
+		if logical != nil || rec == nil {
+			if logical == nil {
+				logical = entries
 			}
-			payload = encodeBatch(firstSeq, logical)
+			payload = encodeBatch(first, logical)
 		}
-		db.commitHook(uint64(firstSeq), len(entries), payload)
+		db.commitHook(uint64(first), len(entries), payload)
 	}
 	var nbytes int64
 	for i, e := range entries {
-		db.mem.Add(kv.Entry{Key: kv.MakeInternalKey(e.key, firstSeq+kv.SeqNum(i), e.kind), Value: e.value})
+		db.mem.Add(kv.Entry{Key: kv.MakeInternalKey(e.key, first+kv.SeqNum(i), e.kind), Value: e.value})
 		nbytes += int64(len(e.key) + len(e.value))
 	}
 	db.opts.Stats.BytesWritten.Add(nbytes)
-	db.opts.Stats.BatchCommits.Add(1)
-	db.opts.Stats.BatchedOps.Add(int64(len(entries)))
 	db.opts.Stats.WriteOps.Add(int64(len(entries)))
-	db.notifySeqLocked()
+	return db.publishLocked(last)
+}
 
+// logRecord appends rec to w and, when sync is asked for and the log does
+// not already sync every record, fsyncs it. Caller holds db.commitMu,
+// which makes it the log's only user.
+func (db *DB) logRecord(w *wal.Writer, rec []byte, sync bool) error {
+	if err := w.AddRecord(rec); err != nil {
+		return err
+	}
+	db.opts.Stats.WALRecords.Add(1)
+	if db.opts.WALSync {
+		db.opts.Stats.WALSyncs.Add(1) // AddRecord synced internally
+	} else if sync {
+		if err := w.Sync(); err != nil {
+			return err
+		}
+		db.opts.Stats.WALSyncs.Add(1)
+	}
+	return nil
+}
+
+// publishLocked advances db.seq to last once the batch is in the
+// memtable, wakes WaitForSeq callers, and freezes a full memtable.
+// Caller holds db.commitMu and db.mu.
+func (db *DB) publishLocked(last kv.SeqNum) error {
+	db.seq = last
+	db.notifySeqLocked()
 	if db.mem.ApproxSize() >= db.opts.MemtableBytes {
 		return db.freezeMemLocked()
 	}

@@ -25,10 +25,10 @@ type CheckpointInfo struct {
 // point-in-time rule crash recovery follows).
 //
 // Consistency without a write stall rests on three pins taken under the
-// engine lock: the manifest state is cloned (the file list), the current
-// version is referenced (compactions cannot delete the listed sstables),
-// and WAL deletion is deferred (flushes finishing mid-copy cannot remove
-// a log the clone still needs). Sstables are hard-linked when the
+// engine lock, between commits: the manifest state is cloned (the file
+// list), the current version is referenced (compactions cannot delete
+// the listed sstables), and WAL deletion is deferred (flushes finishing
+// mid-copy cannot remove a log the clone still needs). Sstables are hard-linked when the
 // filesystem supports it — they are immutable, so sharing the inode is
 // safe — while WAL and value-log files, which receive concurrent
 // appends, are byte-copied. The caller commits the checkpoint by writing
@@ -39,19 +39,26 @@ func (db *DB) Checkpoint(dstDir string) (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 
+	// commitMu keeps commits out while the active log is synced and the
+	// file set captured, so the captured seq covers exactly the records
+	// in the synced log. The sync runs without db.mu, so reads go on.
+	db.commitMu.Lock()
 	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	closed, w := db.closed, db.wal
+	db.mu.Unlock()
+	if closed {
+		db.commitMu.Unlock()
 		return CheckpointInfo{}, ErrClosed
 	}
-	if db.wal != nil {
+	if w != nil {
 		// Flush and sync the active log so every write acked before this
 		// point is in the file the copy will read.
-		if err := db.wal.Sync(); err != nil {
-			db.mu.Unlock()
+		if err := w.Sync(); err != nil {
+			db.commitMu.Unlock()
 			return CheckpointInfo{}, err
 		}
 	}
+	db.mu.Lock()
 	clone := db.state.Clone()
 	v := db.current
 	v.ref()
@@ -65,6 +72,7 @@ func (db *DB) Checkpoint(dstDir string) (CheckpointInfo, error) {
 	seq := uint64(db.seq)
 	db.walPins++
 	db.mu.Unlock()
+	db.commitMu.Unlock()
 
 	info, err := db.copyCheckpointFiles(dstDir, clone, walNums)
 

@@ -56,6 +56,14 @@ type DB struct {
 	// unthrottled.
 	rate *compaction.RateLimiter
 
+	// commitMu serializes writers: every commit holds it from reserving
+	// its seqs through publishing them, so the WAL append and fsync run
+	// under commitMu alone while reads take only the brief db.mu sections.
+	// Anything else that touches db.wal or freezes the memtable (Flush,
+	// Close, Checkpoint) takes it too. Lock order is commitMu -> db.mu;
+	// background workers never take commitMu.
+	commitMu sync.Mutex
+
 	mu      sync.Mutex
 	cond    *sync.Cond // wakes writers and waiters when maintenance progresses
 	bgCond  *sync.Cond // wakes background workers when work may exist
@@ -79,11 +87,6 @@ type DB struct {
 
 	// snapshots maps active snapshot seqs to their refcounts.
 	snapshots map[kv.SeqNum]int
-
-	// rmwMu serializes the embedded read-modify-write primitives (Incr,
-	// CompareAndSwap) against each other; the network server bypasses it
-	// by folding RMW resolution into its per-shard commit loop instead.
-	rmwMu sync.Mutex
 
 	// commitHook observes every committed batch for replication;
 	// seqWaiters park WaitForSeq callers until db.seq reaches their
@@ -313,10 +316,11 @@ func (db *DB) PutAtExpiry(key, value []byte, expiryUnixNano int64) error {
 // Incr atomically adds delta to the signed 8-byte little-endian counter
 // at key (treating an absent key as zero) and returns the new value. A
 // present value of any other width fails with ErrNotCounter. A TTL on
-// the previous version does not carry over.
+// the previous version does not carry over. The read and the write both
+// happen under commitMu, so no other write can land between them.
 func (db *DB) Incr(key []byte, delta int64) (int64, error) {
-	db.rmwMu.Lock()
-	defer db.rmwMu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	cur, err := db.Get(key)
 	var n int64
 	switch {
@@ -331,7 +335,7 @@ func (db *DB) Incr(key []byte, delta int64) (int64, error) {
 	default:
 		return 0, err
 	}
-	if err := db.Put(key, AppendCounter(nil, n)); err != nil {
+	if err := db.writeLocked(kv.KindSet, key, AppendCounter(nil, n)); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -340,9 +344,10 @@ func (db *DB) Incr(key []byte, delta int64) (int64, error) {
 // CompareAndSwap atomically replaces key's value with newValue if the
 // current value equals expected; expected == nil asserts the key is
 // absent. On disagreement it returns ErrCASMismatch and writes nothing.
+// Like Incr, it holds commitMu across the read and the write.
 func (db *DB) CompareAndSwap(key, expected, newValue []byte) error {
-	db.rmwMu.Lock()
-	defer db.rmwMu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	cur, err := db.Get(key)
 	switch {
 	case err == nil:
@@ -356,7 +361,7 @@ func (db *DB) CompareAndSwap(key, expected, newValue []byte) error {
 	default:
 		return err
 	}
-	return db.Put(key, newValue)
+	return db.writeLocked(kv.KindSet, key, newValue)
 }
 
 // AppendCounter appends the 8-byte little-endian encoding of an Incr
@@ -389,73 +394,29 @@ func (db *DB) Delete(key []byte) error {
 	return err
 }
 
+// write commits one operation. Key-value separation runs before
+// commitMu, so concurrent writers append to the value log in parallel.
 func (db *DB) write(kind kv.Kind, key, value []byte) error {
-	if len(key) == 0 {
-		return errors.New("lsmkv: empty key")
-	}
-	// Key-value separation happens outside the lock: append the value to
-	// the log and store the pointer instead.
-	storedKind := kind
-	storedValue := value
-	if kind == kv.KindSet && db.vlog != nil && len(value) >= db.opts.ValueThreshold {
-		ptr, err := db.vlog.Append(key, value)
-		if err != nil {
-			return err
-		}
-		// Under WALSync the write is acknowledged as durable, so the
-		// separated value the WAL record points into must be durable too.
-		if db.opts.WALSync {
-			if err := db.vlog.Sync(); err != nil {
-				return err
-			}
-		}
-		storedKind = kv.KindValuePointer
-		storedValue = ptr.Encode()
-	}
-
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.waitWriteLocked(); err != nil {
+	entries, logical, err := db.prepareBatch([]BatchOp{{Kind: kind, Key: key, Value: value}}, false)
+	if err != nil {
 		return err
 	}
-	db.seq++
-	seq := db.seq
-	var rec []byte
-	if db.wal != nil {
-		rec = encodeBatch(seq, []batchEntry{{kind: storedKind, key: key, value: storedValue}})
-		if err := db.wal.AddRecord(rec); err != nil {
-			return err
-		}
-		db.opts.Stats.WALRecords.Add(1)
-		if db.opts.WALSync {
-			db.opts.Stats.WALSyncs.Add(1)
-		}
-	}
-	if db.commitHook != nil {
-		// The replication stream carries the logical record: original
-		// kind and value, not the vlog pointer a follower couldn't
-		// resolve.
-		payload := rec
-		if storedKind != kind || rec == nil {
-			payload = encodeBatch(seq, []batchEntry{{kind: kind, key: key, value: value}})
-		}
-		db.commitHook(uint64(seq), 1, payload)
-	}
-	db.mem.Add(kv.Entry{Key: kv.MakeInternalKey(key, seq, storedKind), Value: storedValue})
-	db.opts.Stats.BytesWritten.Add(int64(len(key) + len(storedValue)))
-	db.opts.Stats.WriteOps.Add(1)
-	db.notifySeqLocked()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	return db.commitLocked(entries, logical, false)
+}
 
-	if db.mem.ApproxSize() >= db.opts.MemtableBytes {
-		if err := db.freezeMemLocked(); err != nil {
-			return err
-		}
+// writeLocked is write for a caller that already holds db.commitMu.
+func (db *DB) writeLocked(kind kv.Kind, key, value []byte) error {
+	entries, logical, err := db.prepareBatch([]BatchOp{{Kind: kind, Key: key, Value: value}}, false)
+	if err != nil {
+		return err
 	}
-	return nil
+	return db.commitLocked(entries, logical, false)
 }
 
 // freezeMemLocked moves the active memtable to the flush queue and starts
-// a fresh one. Caller holds db.mu.
+// a fresh one with a fresh WAL. Caller holds db.commitMu and db.mu.
 func (db *DB) freezeMemLocked() error {
 	if db.mem.Len() == 0 {
 		return nil
@@ -476,8 +437,8 @@ func (db *DB) freezeMemLocked() error {
 	return nil
 }
 
-// waitWriteLocked applies the engine's graduated backpressure before a
-// write may proceed. Two bands:
+// waitWriteLocked fails a write on a closed engine and otherwise applies
+// the engine's graduated backpressure before it may proceed. Two bands:
 //
 //  1. Soft slowdown: once level 0 or the pending compaction debt crosses
 //     its slowdown trigger, the write is delayed (lock released) by an
@@ -490,6 +451,9 @@ func (db *DB) freezeMemLocked() error {
 //
 // Caller holds db.mu; the lock may be released and reacquired.
 func (db *DB) waitWriteLocked() error {
+	if db.closed {
+		return ErrClosed
+	}
 	if d := db.slowdownDelayLocked(); d > 0 {
 		if !db.slowdownActive {
 			db.slowdownActive = true
@@ -726,11 +690,9 @@ func (db *DB) getInternal(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Tra
 		db.mu.Unlock()
 		return nil, 0, false, ErrClosed
 	}
-	mem := db.mem
-	imms := make([]buffer, len(db.imms))
-	for i, im := range db.imms {
-		imms[i] = im.buf
-	}
+	// db.imms only grows at its tail and shrinks from its head, so the
+	// slice header taken here stays a valid view after the lock drops.
+	mem, imms := db.mem, db.imms
 	v := db.current
 	v.ref()
 	db.mu.Unlock()
@@ -747,7 +709,7 @@ func (db *DB) getInternal(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Tra
 		if tr != nil {
 			tr.ImmutablesChecked++
 		}
-		if value, kind, found = imms[i].Get(key, snap); found {
+		if value, kind, found = imms[i].buf.Get(key, snap); found {
 			if tr != nil {
 				tr.Source = fmt.Sprintf("immutable-%d", len(imms)-1-i)
 			}
@@ -806,19 +768,25 @@ func (db *DB) getInternal(key []byte, snap kv.SeqNum, dst []byte, tr *iostat.Tra
 
 // Flush forces the active memtable to storage and waits for completion.
 func (db *DB) Flush() error {
+	// The freeze rotates db.wal, so it waits out any commit in flight;
+	// the wait for the flush itself lets writers proceed.
+	db.commitMu.Lock()
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
+		db.commitMu.Unlock()
 		return ErrClosed
 	}
-	if err := db.freezeMemLocked(); err != nil {
+	err := db.freezeMemLocked()
+	db.commitMu.Unlock()
+	if err != nil {
 		db.mu.Unlock()
 		return err
 	}
 	for len(db.imms) > 0 && db.bgErr == nil && !db.closed {
 		db.cond.Wait()
 	}
-	err := db.bgErr
+	err = db.bgErr
 	db.mu.Unlock()
 	return err
 }
@@ -923,6 +891,11 @@ func (db *DB) compactionLoop() {
 
 // Close flushes the memtable and stops background work.
 func (db *DB) Close() error {
+	// Holding commitMu to the end means no commit is in flight and none
+	// can start: the final freeze covers every acknowledged write, and the
+	// WAL closed below has no writer.
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"lsmkv/internal/filter"
 	"lsmkv/internal/manifest"
 	"lsmkv/internal/rangefilter"
+	"lsmkv/internal/vfs"
 )
 
 func TestHybridKZLayout(t *testing.T) {
@@ -311,29 +312,34 @@ func TestTombstonesPurgedAtBottom(t *testing.T) {
 	}
 }
 
+// TestBackgroundErrorPropagates fails every new table file, so the next
+// flush dies in the background; the failure must reach writers through
+// the backpressure check and stay sticky for Flush.
 func TestBackgroundErrorPropagates(t *testing.T) {
-	dir := t.TempDir()
-	opts := smallOpts(dir)
+	fs := vfs.NewFaulty(vfs.NewMem())
+	opts := smallOpts("db")
+	opts.FS = fs
 	db := openDB(t, opts)
 	defer db.Close()
 	for i := 0; i < 500; i++ {
-		db.Put(key(i), val(i))
-	}
-	db.Flush()
-	// Make the directory unwritable so the next flush fails.
-	if err := os.Chmod(dir, 0o555); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chmod(dir, 0o755)
-	if os.Getuid() == 0 {
-		t.Skip("running as root: chmod does not block writes")
-	}
-	for i := 0; i < 5000; i++ {
 		if err := db.Put(key(i), val(i)); err != nil {
-			return // the background failure surfaced to the writer
+			t.Fatal(err)
 		}
 	}
-	t.Error("background write failure never surfaced")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Inject(vfs.Rule{Op: vfs.OpCreate, Path: ".sst", Repeat: true})
+	var werr error
+	for i := 0; i < 5000 && werr == nil; i++ {
+		werr = db.Put(key(i), val(i))
+	}
+	if !errors.Is(werr, vfs.ErrInjected) {
+		t.Fatalf("background write failure never surfaced to a writer: %v", werr)
+	}
+	if err := db.Flush(); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Flush after background failure = %v, want the injected fault", err)
+	}
 }
 
 func TestFilterKindsEndToEnd(t *testing.T) {

@@ -167,30 +167,34 @@ func (db *DB) ApplyReplicated(payload []byte) (uint64, error) {
 		return db.LastSeq(), nil
 	}
 
+	// The three commit phases of commitLocked, with the seqs checked
+	// rather than assigned in the reserve phase.
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
 	if err := db.waitWriteLocked(); err != nil {
+		db.mu.Unlock()
 		return 0, err
 	}
 	prev := db.seq
+	w := db.wal
+	db.mu.Unlock()
 	if last <= prev {
 		return uint64(prev), nil // duplicate delivery
 	}
 	if first > prev+1 {
 		return 0, fmt.Errorf("%w: batch starts at %d, engine at %d", ErrReplicaGap, first, prev)
 	}
-	if db.wal != nil {
-		if err := db.wal.AddRecord(payload); err != nil {
+	if w != nil {
+		// A failed append leaves the watermark where it was: these seqs
+		// belong to the primary, and the shipper redelivers them.
+		if err := db.logRecord(w, payload, false); err != nil {
 			return 0, err
 		}
-		db.opts.Stats.WALRecords.Add(1)
-		if db.opts.WALSync {
-			db.opts.Stats.WALSyncs.Add(1)
-		}
 	}
+
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for _, e := range entries {
 		// Skip the already-applied prefix of a partially duplicate batch;
 		// those seqs are in the memtable (or flushed) from the first
@@ -200,16 +204,11 @@ func (db *DB) ApplyReplicated(payload []byte) (uint64, error) {
 		}
 		db.mem.Add(e)
 	}
-	db.seq = last
 	db.opts.Stats.BytesWritten.Add(nbytes)
 	db.opts.Stats.ReplRecordsApplied.Add(1)
 	db.opts.Stats.ReplBytesApplied.Add(int64(len(payload)))
-	db.notifySeqLocked()
-
-	if db.mem.ApproxSize() >= db.opts.MemtableBytes {
-		if err := db.freezeMemLocked(); err != nil {
-			return 0, err
-		}
+	if err := db.publishLocked(last); err != nil {
+		return 0, err
 	}
 	return uint64(last), nil
 }

@@ -62,11 +62,7 @@ func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 		db.mu.Unlock()
 		return nil, ErrClosed
 	}
-	mem := db.mem
-	imms := make([]buffer, len(db.imms))
-	for i, im := range db.imms {
-		imms[i] = im.buf
-	}
+	mem, imms := db.mem, db.imms // see getInternal: the header is a stable view
 	v := db.current
 	v.ref()
 	db.mu.Unlock()
@@ -76,7 +72,7 @@ func (db *DB) newScanner(lo, hi []byte, snap kv.SeqNum) (*Scanner, error) {
 	var iters []kv.Iterator
 	iters = append(iters, mem.NewIterator())
 	for i := len(imms) - 1; i >= 0; i-- {
-		iters = append(iters, imms[i].NewIterator())
+		iters = append(iters, imms[i].buf.NewIterator())
 	}
 	if hi == nil || bytes.Compare(lo, hi) <= 0 {
 		for _, level := range v.levels {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -50,15 +51,16 @@ func startBackend(t *testing.T) string {
 
 // flakyProxy forwards TCP to backend but kills the first `kill`
 // accepted connections without forwarding a byte, simulating a server
-// restart or LB failover mid-session.
-func flakyProxy(t *testing.T, backend string, kill int) string {
+// restart or LB failover mid-session. It returns the proxy's address and
+// its count of accepted connections.
+func flakyProxy(t *testing.T, backend string, kill int) (string, *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	var accepted atomic.Int64
+	accepted := new(atomic.Int64)
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -78,7 +80,7 @@ func flakyProxy(t *testing.T, backend string, kill int) string {
 			go func() { io.Copy(c, up); c.Close() }()
 		}
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), accepted
 }
 
 // TestRetryRedials: the client transparently survives dead connections
@@ -86,7 +88,7 @@ func flakyProxy(t *testing.T, backend string, kill int) string {
 // the first Put only succeeds on the third dial.
 func TestRetryRedials(t *testing.T) {
 	backend := startBackend(t)
-	addr := flakyProxy(t, backend, 2)
+	addr, _ := flakyProxy(t, backend, 2)
 
 	// Dial tolerates the first kill because it only needs the TCP accept;
 	// the read loop discovers the close and the next call redials.
@@ -109,10 +111,15 @@ func TestRetryRedials(t *testing.T) {
 }
 
 // TestNoRetryFailsFast: with retries disabled a dead connection is an
-// error, not a hang.
+// error, not a hang, and the call is not retried. The proxy kills every
+// connection: a call that finds its wire already dead dials afresh (that
+// is not a retry), so sparing the second connection would let the Put
+// succeed whenever the read loop noticed the first close before the Put
+// began. A retry shows instead as a third accepted connection: Dial's,
+// plus at most the one fresh dial of the call.
 func TestNoRetryFailsFast(t *testing.T) {
 	backend := startBackend(t)
-	addr := flakyProxy(t, backend, 1)
+	addr, accepted := flakyProxy(t, backend, math.MaxInt)
 	cl, err := client.Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err) // accept succeeded; close comes later
@@ -120,6 +127,11 @@ func TestNoRetryFailsFast(t *testing.T) {
 	defer cl.Close()
 	if err := cl.Put([]byte("k"), []byte("v")); err == nil {
 		t.Fatal("put over killed connection succeeded without retries")
+	}
+	// Every failed attempt saw its connection closed, and the proxy
+	// counts a connection before closing it, so the count is complete.
+	if n := accepted.Load(); n > 2 {
+		t.Fatalf("proxy accepted %d connections; want at most 2 (Dial + one fresh dial, no retry)", n)
 	}
 }
 

@@ -269,7 +269,7 @@ func (db *DB) replayWALs() error {
 func (db *DB) rotateWALLocked() error {
 	db.state.NextFileNum++
 	num := db.state.NextFileNum
-	w, err := wal.Create(db.opts.FS, db.walPath(num), wal.Options{SyncOnWrite: db.opts.WALSync})
+	w, err := wal.Create(db.opts.FS, db.walPath(num), wal.Options{SyncOnWrite: db.opts.WALSync, Stats: db.opts.Stats})
 	if err != nil {
 		return err
 	}

@@ -2,15 +2,20 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lsmkv/internal/compaction"
 	"lsmkv/internal/filter"
 	"lsmkv/internal/rangefilter"
 	"lsmkv/internal/sstable"
+	"lsmkv/internal/wal"
 )
 
 // smallOpts returns options tuned so a few thousand writes exercise
@@ -288,6 +293,32 @@ func TestCrashRecoveryViaWAL(t *testing.T) {
 		if err != nil || !bytes.Equal(got, val(i)) {
 			t.Fatalf("after recovery Get(%d)=%q,%v", i, got, err)
 		}
+	}
+}
+
+// TestOpenRejectsOldFormatWAL: a log left by a build whose record
+// checksum excluded the length fails Open with wal.ErrOldFormat instead
+// of replaying as torn and dropping its records.
+func TestOpenRejectsOldFormatWAL(t *testing.T) {
+	dir := t.TempDir()
+	opts := smallOpts(dir)
+	if err := openDB(t, opts).Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("a batch an earlier build synced")
+	rec := binary.LittleEndian.AppendUint32(nil, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
+	rec = append(rec, payload...)
+	if err := os.WriteFile(filepath.Join(dir, "999999.wal"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(opts)
+	if err == nil {
+		db.Close()
+		t.Fatal("Open replayed an old-format log without error")
+	}
+	if !errors.Is(err, wal.ErrOldFormat) {
+		t.Fatalf("Open: %v, want wal.ErrOldFormat", err)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestFaultWALAppendSurfacesFromPut(t *testing.T) {
 	if err := db.Put([]byte("a"), []byte("1")); err != nil {
 		t.Fatalf("pre-fault Put: %v", err)
 	}
-	fs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".wal", N: 1})
+	fs.Inject(vfs.Rule{Op: vfs.OpWriteAt, Path: ".wal", N: 1})
 	if err := db.Put([]byte("b"), []byte("2")); !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("Put with failing WAL write: err=%v, want ErrInjected", err)
 	}

@@ -78,6 +78,11 @@ type Stats struct {
 	// is WALSyncs over BatchedOps.
 	WALRecords atomic.Int64
 	WALSyncs   atomic.Int64
+	// WALPreallocBytes counts the zeros written to extend log files ahead
+	// of their records, so that a commit's fsync overwrites existing
+	// space instead of persisting a new file size. It is kept out of
+	// BytesWritten, which counts data.
+	WALPreallocBytes atomic.Int64
 	// BatchCommits counts ApplyBatch calls; BatchedOps the operations
 	// they carried. BatchedOps/BatchCommits is the mean commit group size.
 	BatchCommits atomic.Int64
@@ -136,6 +141,7 @@ type Snapshot struct {
 	VlogReads              int64
 	WALRecords             int64
 	WALSyncs               int64
+	WALPreallocBytes       int64
 	BatchCommits           int64
 	BatchedOps             int64
 	WriteStalls            int64
@@ -175,6 +181,7 @@ func (s *Stats) Snapshot() Snapshot {
 		VlogReads:              s.VlogReads.Load(),
 		WALRecords:             s.WALRecords.Load(),
 		WALSyncs:               s.WALSyncs.Load(),
+		WALPreallocBytes:       s.WALPreallocBytes.Load(),
 		BatchCommits:           s.BatchCommits.Load(),
 		BatchedOps:             s.BatchedOps.Load(),
 		WriteStalls:            s.WriteStalls.Load(),
@@ -216,6 +223,7 @@ func (s Snapshot) Add(t Snapshot) Snapshot {
 		VlogReads:              s.VlogReads + t.VlogReads,
 		WALRecords:             s.WALRecords + t.WALRecords,
 		WALSyncs:               s.WALSyncs + t.WALSyncs,
+		WALPreallocBytes:       s.WALPreallocBytes + t.WALPreallocBytes,
 		BatchCommits:           s.BatchCommits + t.BatchCommits,
 		BatchedOps:             s.BatchedOps + t.BatchedOps,
 		WriteStalls:            s.WriteStalls + t.WriteStalls,
@@ -256,6 +264,7 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		VlogReads:              s.VlogReads - t.VlogReads,
 		WALRecords:             s.WALRecords - t.WALRecords,
 		WALSyncs:               s.WALSyncs - t.WALSyncs,
+		WALPreallocBytes:       s.WALPreallocBytes - t.WALPreallocBytes,
 		BatchCommits:           s.BatchCommits - t.BatchCommits,
 		BatchedOps:             s.BatchedOps - t.BatchedOps,
 		WriteStalls:            s.WriteStalls - t.WriteStalls,

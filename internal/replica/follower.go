@@ -247,6 +247,9 @@ func (f *Follower) setConnected(watermarks []uint64) {
 	f.connected = true
 	f.lastErr = ""
 	f.reconnects++
+	// A heartbeat from the dropped stream says nothing about this one:
+	// until the new stream's first heartbeat, lag is unknown, not zero.
+	f.primarySeqs = f.primarySeqs[:0]
 	f.mu.Unlock()
 	f.cfg.Events.Add(iostat.Event{
 		Type: iostat.EventReplConnect, FromLevel: -1, ToLevel: -1,

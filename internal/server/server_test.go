@@ -426,8 +426,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	var payload struct {
 		Server server.Snapshot `json:"server"`
 		Engine struct {
-			WALSyncs   int64
-			BatchedOps int64
+			WALSyncs         int64
+			WALPreallocBytes int64
+			BatchedOps       int64
 		} `json:"engine"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
@@ -436,7 +437,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if payload.Server.ConnsAccepted < 1 || payload.Server.CommitBatches < 1 {
 		t.Fatalf("metrics look empty: %+v", payload.Server)
 	}
-	if payload.Engine.WALSyncs < 1 || payload.Engine.BatchedOps < 1 {
+	if payload.Engine.WALSyncs < 1 || payload.Engine.WALPreallocBytes < 1 || payload.Engine.BatchedOps < 1 {
 		t.Fatalf("engine counters missing: %+v", payload.Engine)
 	}
 

@@ -117,9 +117,25 @@ type block struct {
 	hasHash   bool
 }
 
+// verifyBlock checks a block's trailer CRC. Blocks are verified once, as
+// they come off storage; the cache only ever holds verified bytes.
+func verifyBlock(raw []byte) error {
+	if len(raw) < blockTrailerLen+4 {
+		return ErrCorruptBlock
+	}
+	crcOff := len(raw) - 4
+	if crc32.Checksum(raw[:crcOff], crcTable) != binary.LittleEndian.Uint32(raw[crcOff:]) {
+		return ErrChecksum
+	}
+	return nil
+}
+
 // decodeBlock validates the CRC and splits the block into payload,
 // restart array, and optional hash index.
 func decodeBlock(raw []byte) (*block, error) {
+	if err := verifyBlock(raw); err != nil {
+		return nil, err
+	}
 	blk := &block{}
 	if err := decodeBlockInto(blk, raw); err != nil {
 		return nil, err
@@ -127,10 +143,10 @@ func decodeBlock(raw []byte) (*block, error) {
 	return blk, nil
 }
 
-// decodeBlockInto is decodeBlock writing its result into a caller-owned
+// decodeBlockInto splits an already verified block into a caller-owned
 // block, reusing the restart slice's capacity. The point-read hot path
 // feeds it pooled scratch so a cache-hit lookup decodes without
-// allocating.
+// allocating or re-checksumming.
 func decodeBlockInto(blk *block, raw []byte) error {
 	blk.data = nil
 	blk.hashIndex = fence.HashIndex{}
@@ -139,10 +155,6 @@ func decodeBlockInto(blk *block, raw []byte) error {
 		return ErrCorruptBlock
 	}
 	crcOff := len(raw) - 4
-	want := binary.LittleEndian.Uint32(raw[crcOff:])
-	if crc32.Checksum(raw[:crcOff], crcTable) != want {
-		return ErrChecksum
-	}
 	flag := raw[crcOff-1]
 	body := raw[:crcOff-1]
 	if flag&blockFlagHashIndex != 0 {

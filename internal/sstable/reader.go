@@ -229,7 +229,11 @@ func (r *Reader) readBlock(h fence.BlockHandle, rt *iostat.RunTrace) (*block, er
 			if rt != nil {
 				rt.CacheHits++
 			}
-			return decodeBlock(cached)
+			blk := &block{}
+			if err := decodeBlockInto(blk, cached); err != nil {
+				return nil, err
+			}
+			return blk, nil
 		}
 		if r.opts.Stats != nil {
 			r.opts.Stats.BlockCacheMisses.Add(1)
@@ -249,10 +253,14 @@ func (r *Reader) readBlock(h fence.BlockHandle, rt *iostat.RunTrace) (*block, er
 	if rt != nil {
 		rt.BlockReads++
 	}
+	blk, err := decodeBlock(raw)
+	if err != nil {
+		return nil, err
+	}
 	if c := r.opts.Cache; c != nil {
 		c.Insert(r.opts.FileNum, h.Offset, raw)
 	}
-	return decodeBlock(raw)
+	return blk, nil
 }
 
 // PrefetchBlock loads the block at ordinal i into the cache without

@@ -83,6 +83,9 @@ func (r *Reader) readBlockInto(sc *readScratch, h fence.BlockHandle, rt *iostat.
 	if rt != nil {
 		rt.BlockReads++
 	}
+	if err := verifyBlock(raw); err != nil {
+		return err
+	}
 	if c != nil {
 		c.Insert(r.opts.FileNum, h.Offset, raw)
 	}

@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -437,6 +438,36 @@ func TestPrefetchBlockWarmsCache(t *testing.T) {
 	}
 	if after.BlockCacheHits == before.BlockCacheHits {
 		t.Error("expected a cache hit")
+	}
+}
+
+// TestCorruptBlockNeverCached: blocks are checksummed once, on the read
+// from storage, so a corrupt block must fail there with ErrChecksum on
+// both read paths and never reach the cache (whose hits skip the check).
+func TestCorruptBlockNeverCached(t *testing.T) {
+	c := &countingCache{data: map[string][]byte{}}
+	f := &memFile{}
+	w := NewWriter(f, WriterOptions{BlockSize: 512})
+	for i := 0; i < 200; i++ {
+		w.Add(kv.MakeInternalKey([]byte(fmt.Sprintf("key%08d", i)), kv.SeqNum(i+1), kv.KindSet), []byte("value"))
+	}
+	if _, _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(f, int64(f.buf.Len()), ReaderOptions{Cache: c, FileNum: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.buf.Bytes()[10] ^= 0xff // inside the first data block
+	key := []byte("key00000000")
+	if _, _, _, err := r.Get(key, filter.HashKey(key), kv.MaxSeqNum); !errors.Is(err, ErrChecksum) {
+		t.Errorf("Get on a corrupt block: err=%v, want ErrChecksum", err)
+	}
+	if err := r.PrefetchBlock(0); !errors.Is(err, ErrChecksum) {
+		t.Errorf("PrefetchBlock on a corrupt block: err=%v, want ErrChecksum", err)
+	}
+	if len(c.data) != 0 {
+		t.Errorf("corrupt block cached (%d entries)", len(c.data))
 	}
 }
 

@@ -23,9 +23,9 @@ var ErrCrashed = errors.New("vfs: filesystem crashed")
 // without requiring directory-fsync plumbing the engine does not have.
 //
 // Crash freezes the filesystem; CrashImage then materializes what a disk
-// would hold after power loss: every file truncated to its synced
-// watermark, optionally keeping a random prefix of the unsynced tail
-// (torn writes).
+// would hold after power loss: every file at its synced content,
+// optionally keeping a random prefix of each unsynced write range — the
+// appended tail, and any overwrite of synced bytes (torn writes).
 type Mem struct {
 	mu      sync.Mutex
 	nodes   map[string]*memNode
@@ -33,20 +33,83 @@ type Mem struct {
 	crashed bool
 }
 
-// memNode is one file's content. data is the live content; the durable
-// content is syncedCopy when an overwrite dirtied the synced prefix,
-// otherwise data[:syncedLen].
+// memNode is one file's content. data is the live content, and
+// data[:syncedLen] is durable except where an unsynced write overwrote
+// it: dirty holds, per overwritten range, the synced bytes it replaced.
+// The ranges are sorted and never overlap or touch: bytes written back to
+// back form one write range that tears at one point.
 type memNode struct {
-	data       []byte
-	syncedLen  int
-	syncedCopy []byte
+	data      []byte
+	syncedLen int
+	dirty     []patch
 }
 
+// patch is an unsynced overwrite of synced bytes: the range
+// [off, off+len(old)) and the synced content it replaced.
+type patch struct {
+	off int
+	old []byte
+}
+
+func (p patch) end() int { return p.off + len(p.old) }
+
+// extent is the byte range [off, end) of a file.
+type extent struct{ off, end int }
+
 func (n *memNode) durable() []byte {
-	if n.syncedCopy != nil {
-		return append([]byte(nil), n.syncedCopy...)
+	img := append([]byte(nil), n.data[:n.syncedLen]...)
+	for _, p := range n.dirty {
+		copy(img[p.off:], p.old)
 	}
-	return append([]byte(nil), n.data[:n.syncedLen]...)
+	return img
+}
+
+// overwrite saves the synced bytes of [lo, hi), inside the synced
+// length, before a write replaces them, merging the patches the range
+// overlaps or touches into one. Bytes no patch covers are still the
+// synced content, so they are read from data.
+func (n *memNode) overwrite(lo, hi int) {
+	kept := n.dirty[:0]
+	var merged []patch
+	for _, p := range n.dirty {
+		if p.end() < lo || p.off > hi {
+			kept = append(kept, p)
+			continue
+		}
+		lo, hi = min(lo, p.off), max(hi, p.end())
+		merged = append(merged, p)
+	}
+	old := append([]byte(nil), n.data[lo:hi]...)
+	for _, p := range merged {
+		copy(old[p.off-lo:], p.old)
+	}
+	n.dirty = append(kept, patch{lo, old})
+	sort.Slice(n.dirty, func(i, j int) bool { return n.dirty[i].off < n.dirty[j].off })
+}
+
+// tear lays over img, the durable content, a random prefix of the live
+// bytes of each unsynced write range: the overwrites and the appended
+// tail, an overwrite that touches the tail tearing with it as one range.
+func (n *memNode) tear(img []byte, rng *rand.Rand) []byte {
+	var ranges []extent
+	for _, p := range n.dirty {
+		ranges = append(ranges, extent{p.off, p.end()})
+	}
+	if len(n.data) > n.syncedLen {
+		if k := len(ranges) - 1; k >= 0 && ranges[k].end == n.syncedLen {
+			ranges[k].end = len(n.data)
+		} else {
+			ranges = append(ranges, extent{n.syncedLen, len(n.data)})
+		}
+	}
+	for _, r := range ranges {
+		end := r.off + rng.Intn(r.end-r.off+1)
+		if end > len(img) {
+			img = append(img, make([]byte, end-len(img))...)
+		}
+		copy(img[r.off:end], n.data[r.off:end])
+	}
+	return img
 }
 
 // NewMem returns an empty in-memory filesystem.
@@ -75,7 +138,8 @@ func (m *Mem) Crashed() bool {
 
 // CrashImage returns a new Mem holding what a disk would contain after
 // power loss at this instant: per file, the synced content; when rng is
-// non-nil, additionally a random prefix of the unsynced tail (simulating
+// non-nil, additionally a random prefix of each unsynced write range —
+// the appended tail and every overwrite of synced bytes (simulating
 // torn/partial writes that reached the platter). Directory structure is
 // preserved. The receiver is usually frozen by Crash first, but the image
 // can be taken at any time.
@@ -88,9 +152,8 @@ func (m *Mem) CrashImage(rng *rand.Rand) *Mem {
 	}
 	for name, n := range m.nodes {
 		data := n.durable()
-		if rng != nil && n.syncedCopy == nil && len(n.data) > n.syncedLen {
-			tail := n.data[n.syncedLen:]
-			data = append(data, tail[:rng.Intn(len(tail)+1)]...)
+		if rng != nil {
+			data = n.tear(data, rng)
 		}
 		img.nodes[name] = &memNode{data: data, syncedLen: len(data)}
 	}
@@ -296,14 +359,13 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	}
 	n := f.node
 	// Overwriting already-durable bytes invalidates the watermark model;
-	// snapshot the durable prefix first so CrashImage stays correct.
-	if off < int64(n.syncedLen) && n.syncedCopy == nil {
-		n.syncedCopy = append([]byte(nil), n.data[:n.syncedLen]...)
+	// save what they held so CrashImage stays correct and a torn image
+	// can keep part of the new bytes.
+	if off < int64(n.syncedLen) {
+		n.overwrite(int(off), min(int(off)+len(p), n.syncedLen))
 	}
 	if end := off + int64(len(p)); end > int64(len(n.data)) {
-		grown := make([]byte, end)
-		copy(grown, n.data)
-		n.data = grown
+		n.data = append(n.data, make([]byte, end-int64(len(n.data)))...)
 	}
 	copy(n.data[off:], p)
 	return len(p), nil
@@ -316,7 +378,7 @@ func (f *memFile) Sync() error {
 		return ErrCrashed
 	}
 	f.node.syncedLen = len(f.node.data)
-	f.node.syncedCopy = nil
+	f.node.dirty = nil
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -155,6 +156,11 @@ func TestMemWriteAtOverSyncedSnapshot(t *testing.T) {
 	if _, err := f.WriteAt([]byte("DESTROYS"), 0); err != nil {
 		t.Fatal(err)
 	}
+	// Overwrites that overlap the first, and one that bridges it to a
+	// later range, must still restore what was synced, not each other.
+	f.WriteAt([]byte("xx"), 4)
+	f.WriteAt([]byte("yy"), 12)
+	f.WriteAt([]byte("zzzzz"), 7)
 	got, _ := ReadFile(m.CrashImage(nil), "db/seg")
 	if string(got) != "durable-content" {
 		t.Fatalf("overwrite leaked into crash image: %q", got)
@@ -162,7 +168,64 @@ func TestMemWriteAtOverSyncedSnapshot(t *testing.T) {
 	// After a sync the overwrite is durable.
 	f.Sync()
 	got, _ = ReadFile(m.CrashImage(nil), "db/seg")
-	if string(got) != "DESTROYScontent" {
+	if string(got) != "DESTxxYzzzzzyyt" {
+		t.Fatalf("post-sync image: %q", got)
+	}
+}
+
+// TestMemCrashImageTornOverwrite: an unsynced overwrite inside the
+// synced length tears like an append does, keeping a random prefix of
+// the new bytes over the old ones. Writes that touch, including one that
+// runs on into the appended tail, tear as one range.
+func TestMemCrashImageTornOverwrite(t *testing.T) {
+	m := NewMem()
+	m.MkdirAll("db")
+	f := writeAll(t, m, "db/wal", bytes.Repeat([]byte("0"), 100))
+	f.Sync()
+	f.WriteAt(bytes.Repeat([]byte("a"), 20), 20) // [20,40)
+	f.WriteAt(bytes.Repeat([]byte("b"), 20), 40) // [40,60), touches the first
+	f.WriteAt(bytes.Repeat([]byte("c"), 30), 90) // [90,120), runs into the tail
+	rng := rand.New(rand.NewSource(7))
+	sawPartial, sawTail := false, false
+	for i := 0; i < 200; i++ {
+		got, err := ReadFile(m.CrashImage(rng), "db/wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) < 100 || len(got) > 120 {
+			t.Fatalf("torn image size %d outside [100,120]", len(got))
+		}
+		// Each range must read as new bytes then old bytes: a prefix.
+		for _, r := range []struct {
+			off, end int
+			live     string
+		}{{20, 60, strings.Repeat("a", 20) + strings.Repeat("b", 20)}, {90, len(got), strings.Repeat("c", len(got)-90)}} {
+			k := r.off
+			for k < r.end && got[k] != '0' {
+				k++
+			}
+			if string(got[r.off:k]) != r.live[:k-r.off] || strings.Trim(string(got[k:r.end]), "0") != "" {
+				t.Fatalf("range [%d,%d) is not a prefix of the overwrite: %q", r.off, r.end, got[r.off:r.end])
+			}
+			if k > r.off && k < r.end {
+				sawPartial = true
+			}
+		}
+		if len(got) > 100 {
+			sawTail = true
+		}
+		if strings.Trim(string(got[:20])+string(got[60:90]), "0") != "" {
+			t.Fatal("torn image changed bytes no write touched")
+		}
+	}
+	if !sawPartial || !sawTail {
+		t.Errorf("200 torn images: partial overwrite %v, tail kept %v", sawPartial, sawTail)
+	}
+	// A sync makes the overwrites durable and leaves nothing to tear.
+	f.Sync()
+	want := "00000000000000000000" + strings.Repeat("a", 20) + strings.Repeat("b", 20) +
+		strings.Repeat("0", 30) + strings.Repeat("c", 30)
+	if got, _ := ReadFile(m.CrashImage(rng), "db/wal"); string(got) != want {
 		t.Fatalf("post-sync image: %q", got)
 	}
 }

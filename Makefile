@@ -40,7 +40,7 @@ doc-check:
 # real file, every flag OPERATIONS.md names must exist in the shipped
 # binaries' -help output (the binaries are built and their help captured,
 # so a renamed flag fails the build), and PROTOCOL.md's opcode table must
-# agree with the Op* constants in internal/server/protocol.go on every
+# agree with the Op* constants in internal/wire/wire.go on every
 # name and value, in both directions.
 doc-links:
 	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; \
@@ -49,7 +49,7 @@ doc-links:
 		$$tmp/$$c -h 2>$$tmp/$$c.help || true; \
 	done; \
 	$(GO) run ./cmd/doccheck -root . -ops OPERATIONS.md \
-		-protocol PROTOCOL.md -protosrc internal/server/protocol.go \
+		-protocol PROTOCOL.md -protosrc internal/wire/wire.go \
 		$$tmp/lsmserver.help $$tmp/lsmctl.help $$tmp/lsmtune.help \
 		&& echo "doc-links: OK"
 
@@ -96,7 +96,8 @@ crash:
 	$(GO) test ./internal/core/ -run 'TestCrash' -count=1 -crash.iters=100
 	$(GO) test ./internal/shard/ -run 'Crash' -count=1 -shardcrash.iters=50
 
-# One testing.B bench per experiment (E1-E14) plus per-package microbenches.
+# Every testing.B benchmark: the facade's BenchmarkDBGet plus per-package
+# microbenches. The experiment tables come from `lsmbench -e En`.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -128,8 +129,8 @@ bench-tune:
 
 # Read-path allocation discipline and batched wire reads: allocs/op for
 # the allocating vs append point-read APIs (and across the learned-index
-# fence lookups), MULTIGET vs sequential GET at batch 1/8/64, streamed
-# vs paged scan (experiment E18). Appends to bench_results.txt so
+# fence lookups), MULTIGET vs sequential GET at batch 1/8/64, a
+# full-range streamed scan (experiment E18). Appends to bench_results.txt so
 # before/after runs accumulate. The same numbers are gated in CI by
 # TestGetAllocs/TestMultiGetAllocs.
 bench-read:
@@ -164,10 +165,10 @@ fuzz:
 	$(GO) test ./internal/sstable/ -fuzz FuzzOpenReader -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzWALReplay -fuzztime 30s
 	$(GO) test ./internal/shard/ -fuzz FuzzShardRouting -fuzztime 30s
-	$(GO) test ./internal/server/ -fuzz FuzzDecodeRequest -fuzztime 30s
-	$(GO) test ./internal/server/ -fuzz FuzzDecodeResponse -fuzztime 30s
-	$(GO) test ./internal/server/ -fuzz FuzzMultiGetRequest -fuzztime 30s
-	$(GO) test ./internal/server/ -fuzz FuzzIncrCasRequest -fuzztime 30s
+	$(GO) test ./internal/wire/ -fuzz FuzzDecodeRequest -fuzztime 30s
+	$(GO) test ./internal/wire/ -fuzz FuzzDecodeResponse -fuzztime 30s
+	$(GO) test ./internal/wire/ -fuzz FuzzMultiGetRequest -fuzztime 30s
+	$(GO) test ./internal/wire/ -fuzz FuzzIncrCasRequest -fuzztime 30s
 	$(GO) test ./internal/replica/ -fuzz FuzzReplFrame -fuzztime 30s
 
 # Run a server on ./serve-db with metrics, for poking at with lsmctl:

@@ -75,10 +75,18 @@ func TestGetAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.arm()
-		// Fill the memtable with other keys until it freezes and the
-		// flush parks.
+		// Fill the memtable with other keys until it freezes, then wait
+		// for the flush to park. Writing on after the freeze could fill
+		// the next memtable as well and stall behind the parked flush.
 		filler := make([]byte, 1<<10)
-		for i := int64(0); !g.parkedNow(); i++ {
+		for i := int64(0); ; i++ {
+			_, tr, err := db3.GetTraced(hot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(tr.Source, "immutable") {
+				break
+			}
 			if i == 1<<14 {
 				t.Fatal("the memtable never froze")
 			}
@@ -86,6 +94,7 @@ func TestGetAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		g.waitParked(t)
 		if _, tr, err := db3.GetTraced(hot); err != nil || !strings.HasPrefix(tr.Source, "immutable") {
 			t.Fatalf("hot key not served from an immutable memtable: source %q, %v", tr.Source, err)
 		}

@@ -23,7 +23,7 @@
 // Network usage (speaks the binary protocol to a running lsmserver):
 //
 //	lsmctl -addr host:4440 put <key> <value>
-//	lsmctl -addr host:4440 put-ttl <key> <value> <ttl>  # PUTTTL frame
+//	lsmctl -addr host:4440 put-ttl <key> <value> <ttl>  # PUT frame with a TTL
 //	lsmctl -addr host:4440 get <key>
 //	lsmctl -addr host:4440 mget <key>...  # one MULTIGET round trip
 //	lsmctl -addr host:4440 incr <key> [delta]  # INCR frame (atomic)
@@ -595,7 +595,7 @@ func runRemote(cl *client.Client, args []string) error {
 		// Compare this server's logical content against another server's
 		// at this server's current watermarks: merkle here first (pinning
 		// the vector), then on the peer at the same vector — the peer
-		// (typically a caught-up follower) holds its GETSEQ/snapshot reads
+		// (typically a caught-up follower) holds its min-seq/snapshot reads
 		// until it has applied that far.
 		if err := need(1); err != nil {
 			return err

@@ -41,7 +41,7 @@
 // swept on startup). -follow addr runs this server as a read-only
 // follower of the primary at addr: it streams the primary's WAL, applies
 // it through the normal recovery path, and serves reads — including
-// read-your-writes GETSEQ holds at the coordinates primaries return in
+// read-your-writes min-seq GETs held at the coordinates primaries return in
 // write acks. Bootstrap a follower by copying a checkpoint of the primary
 // into -db first. Every server retains a -repl-backlog byte ring of
 // recent commits per shard for serving followers (0 disables serving).

@@ -4,8 +4,8 @@
 // path TestGetAllocs gates at zero for warm reads), the same append
 // read re-measured across the fence-lookup implementations (binary
 // fences, PLR, RadixSpline), and the network reads — MULTIGET versus
-// sequential GET round trips at batch 1/8/64 on Zipfian keys, plus the
-// streamed scan against the paged scan it replaced.
+// sequential GET round trips at batch 1/8/64 on Zipfian keys, plus a
+// full-range streamed scan.
 package bench
 
 import (
@@ -159,8 +159,7 @@ func e18Learned(w io.Writer, scale Scale) error {
 }
 
 // e18Wire: MULTIGET vs sequential GETs at batch 1/8/64 on Zipfian keys,
-// then the streamed scan against the paged scan, over a real loopback
-// server.
+// then a full-range streamed scan, over a real loopback server.
 func e18Wire(w io.Writer, scale Scale) error {
 	cfg := config(scale)
 	dir, cleanup, err := tempDir()
@@ -239,7 +238,7 @@ func e18Wire(w io.Writer, scale Scale) error {
 	fmt.Fprintln(w, "\nMULTIGET vs sequential GET round trips (Zipfian keys, loopback):")
 	t.Print(w)
 
-	// Streamed vs paged scan over the full keyspace.
+	// Streamed scan over the full keyspace.
 	st := NewTable("scan path", "keys", "ms", "Kkeys/s")
 	scanOnce := func(name string, scan func(lo, hi []byte, fn func(k, v []byte) bool) error) error {
 		count := 0
@@ -258,13 +257,10 @@ func e18Wire(w io.Writer, scale Scale) error {
 			float64(count)/el.Seconds()/1e3)
 		return nil
 	}
-	if err := scanOnce("paged SCAN", cl.ScanAllPaged); err != nil {
-		return err
-	}
 	if err := scanOnce("streamed SCAN", cl.ScanStream); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "\nfull-range scan: paged round trips vs streamed frames:")
+	fmt.Fprintln(w, "\nfull-range streamed scan:")
 	st.Print(w)
 	return nil
 }

@@ -21,10 +21,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lsmkv/internal/core"
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/replica"
-	"lsmkv/internal/server"
+	"lsmkv/internal/wire"
 )
 
 // Errors returned by the client.
@@ -56,16 +55,16 @@ type ServerError struct {
 func (e *ServerError) Error() string { return "client: server error: " + e.Msg }
 
 // Op is one batch operation; build with PutOp / DeleteOp.
-type Op = core.BatchOp
+type Op = wire.Op
 
 // PutOp builds a set operation for Batch.
-func PutOp(key, value []byte) Op { return core.PutOp(key, value) }
+func PutOp(key, value []byte) Op { return Op{Key: key, Value: value} }
 
 // DeleteOp builds a tombstone operation for Batch.
-func DeleteOp(key []byte) Op { return core.DeleteOp(key) }
+func DeleteOp(key []byte) Op { return Op{Delete: true, Key: key} }
 
 // KV is one scan result pair.
-type KV = server.KV
+type KV = wire.KV
 
 // Options configures a Client. Zero values select defaults.
 type Options struct {
@@ -91,7 +90,7 @@ func (o Options) withDefaults() Options {
 		o.RequestTimeout = 30 * time.Second
 	}
 	if o.MaxFrameBytes <= 0 {
-		o.MaxFrameBytes = server.DefaultMaxFrameBytes
+		o.MaxFrameBytes = wire.DefaultMaxFrameBytes
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 20 * time.Millisecond
@@ -99,14 +98,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Client is a connection to an lsmserver. Safe for concurrent use;
+// Client is a connection to an lsmwire. Safe for concurrent use;
 // concurrent calls pipeline over the single connection.
 type Client struct {
 	addr string
 	opts Options
 
 	mu     sync.Mutex
-	w      *wire
+	w      *wireConn
 	closed bool
 }
 
@@ -138,7 +137,7 @@ func (c *Client) Close() error {
 
 // Get returns the value of key, or ErrNotFound.
 func (c *Client) Get(key []byte) ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpGet, Key: key}, false)
+	resp, err := c.call(&wire.Request{Op: wire.OpGet, Key: key})
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +146,7 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 
 // Put stores key -> value.
 func (c *Client) Put(key, value []byte) error {
-	_, err := c.call(&server.Request{Op: server.OpPut, Key: key, Value: value}, false)
+	_, err := c.call(&wire.Request{Op: wire.OpPut, Key: key, Value: value})
 	return err
 }
 
@@ -160,7 +159,7 @@ func (c *Client) PutTTL(key, value []byte, ttl time.Duration) error {
 	if millis == 0 && ttl > 0 {
 		millis = 1
 	}
-	_, err := c.call(&server.Request{Op: server.OpPutTTL, Key: key, Value: value, TTLMillis: millis}, false)
+	_, err := c.call(&wire.Request{Op: wire.OpPut, Key: key, Value: value, HasTTL: true, TTLMillis: millis})
 	return err
 }
 
@@ -169,7 +168,7 @@ func (c *Client) PutTTL(key, value []byte, ttl time.Duration) error {
 // resolves it inside the key's group-commit loop, so concurrent Incrs
 // never lose updates.
 func (c *Client) Incr(key []byte, delta int64) (int64, error) {
-	resp, err := c.call(&server.Request{Op: server.OpIncr, Key: key, Delta: delta}, false)
+	resp, err := c.call(&wire.Request{Op: wire.OpIncr, Key: key, Delta: delta})
 	if err != nil {
 		return 0, err
 	}
@@ -184,29 +183,29 @@ func (c *Client) Incr(key []byte, delta int64) (int64, error) {
 // equals expected; a nil expected asserts the key is absent. On mismatch
 // it returns ErrCASMismatch and the server writes nothing.
 func (c *Client) Cas(key, expected, newValue []byte) error {
-	req := &server.Request{Op: server.OpCas, Key: key, Value: newValue}
+	req := &wire.Request{Op: wire.OpCas, Key: key, Value: newValue}
 	if expected != nil {
 		req.HasExpected = true
 		req.Expected = expected
 	}
-	_, err := c.call(req, false)
+	_, err := c.call(req)
 	return err
 }
 
 // SketchFreq returns the server's estimate (never an undercount) of how
 // many writes key has received since the server started.
 func (c *Client) SketchFreq(key []byte) (uint64, error) {
-	return c.sketch(&server.Request{Op: server.OpSketch, Sub: server.SketchFreq, Key: key})
+	return c.sketch(&wire.Request{Op: wire.OpSketch, Sub: wire.SketchFreq, Key: key})
 }
 
 // SketchCard returns the server's estimate (±~1%) of how many distinct
 // keys have been written since the server started.
 func (c *Client) SketchCard() (uint64, error) {
-	return c.sketch(&server.Request{Op: server.OpSketch, Sub: server.SketchCard})
+	return c.sketch(&wire.Request{Op: wire.OpSketch, Sub: wire.SketchCard})
 }
 
-func (c *Client) sketch(req *server.Request) (uint64, error) {
-	resp, err := c.call(req, false)
+func (c *Client) sketch(req *wire.Request) (uint64, error) {
+	resp, err := c.call(req)
 	if err != nil {
 		return 0, err
 	}
@@ -219,34 +218,20 @@ func (c *Client) sketch(req *server.Request) (uint64, error) {
 
 // Delete removes key.
 func (c *Client) Delete(key []byte) error {
-	_, err := c.call(&server.Request{Op: server.OpDelete, Key: key}, false)
+	_, err := c.call(&wire.Request{Op: wire.OpDelete, Key: key})
 	return err
 }
 
-// Batch applies ops atomically on the server.
+// Batch applies ops atomically on the wire.
 func (c *Client) Batch(ops []Op) error {
-	_, err := c.call(&server.Request{Op: server.OpBatch, Ops: ops}, false)
+	_, err := c.call(&wire.Request{Op: wire.OpBatch, Ops: ops})
 	return err
-}
-
-// Scan returns up to limit pairs in [lo, hi] (limit <= 0 uses the server
-// default). more reports a truncated result; continue with ScanAll or a
-// follow-up Scan from just past the last key.
-func (c *Client) Scan(lo, hi []byte, limit int) (pairs []KV, more bool, err error) {
-	if limit < 0 {
-		limit = 0
-	}
-	resp, err := c.call(&server.Request{Op: server.OpScan, Lo: lo, Hi: hi, Limit: uint64(limit)}, true)
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.Pairs, resp.More, nil
 }
 
 // ScanAll streams every pair in [lo, hi] to fn, until fn returns false
 // or the range is exhausted. It rides a single streamed SCANSTREAM
 // request — one request frame for the whole range, the server pushing
-// response frames as it walks — instead of paging Scan round trips.
+// response frames as it walks.
 // With retries enabled, a transient mid-stream failure resumes just
 // past the last delivered key, so fn sees every pair exactly once.
 func (c *Client) ScanAll(lo, hi []byte, fn func(key, value []byte) bool) error {
@@ -281,31 +266,6 @@ func (c *Client) ScanAll(lo, hi []byte, fn func(key, value []byte) bool) error {
 	}
 }
 
-// ScanAllPaged is ScanAll's page-at-a-time predecessor: it walks the
-// range with repeated SCAN round trips, resuming past each truncated
-// response. Kept for servers predating SCANSTREAM and as the oracle
-// the streamed path is tested against.
-func (c *Client) ScanAllPaged(lo, hi []byte, fn func(key, value []byte) bool) error {
-	for {
-		pairs, more, err := c.Scan(lo, hi, 0)
-		if err != nil {
-			return err
-		}
-		for _, p := range pairs {
-			if !fn(p.Key, p.Value) {
-				return nil
-			}
-		}
-		if !more || len(pairs) == 0 {
-			return nil
-		}
-		// Resume just past the last key: appending 0x00 yields the
-		// smallest key strictly greater under bytewise order.
-		last := pairs[len(pairs)-1].Key
-		lo = append(append(make([]byte, 0, len(last)+1), last...), 0)
-	}
-}
-
 // ScanStream issues one streamed SCANSTREAM request for [lo, hi] and
 // delivers every pair to fn as frames arrive; fn returning false
 // cancels the stream. Unlike ScanAll it never retries: a transport
@@ -321,7 +281,7 @@ func (c *Client) scanStreamOnce(lo, hi []byte, fn func(key, value []byte) bool) 
 	if err != nil {
 		return err
 	}
-	req := &server.Request{Op: server.OpScanStream, Lo: lo, Hi: hi}
+	req := &wire.Request{Op: wire.OpScanStream, Lo: lo, Hi: hi}
 	p, err := w.sendStream(req)
 	if err != nil {
 		c.dropWire(w, err)
@@ -336,7 +296,7 @@ func (c *Client) scanStreamOnce(lo, hi []byte, fn func(key, value []byte) bool) 
 	timer := time.NewTimer(c.opts.RequestTimeout)
 	defer timer.Stop()
 	for {
-		var resp server.Response
+		var resp wire.Response
 		// Prefer frames already delivered over a concurrent wire failure
 		// so a stream that completed just before teardown still finishes.
 		select {
@@ -353,10 +313,10 @@ func (c *Client) scanStreamOnce(lo, hi []byte, fn func(key, value []byte) bool) 
 			}
 		}
 		switch resp.Status {
-		case server.StatusOK:
-		case server.StatusThrottled:
+		case wire.StatusOK:
+		case wire.StatusThrottled:
 			return ErrThrottled
-		case server.StatusShutdown:
+		case wire.StatusShutdown:
 			c.detachWire(w)
 			return ErrShutdown
 		default:
@@ -390,11 +350,11 @@ func (c *Client) MultiGet(keys [][]byte) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	resp, err := c.call(&server.Request{Op: server.OpMultiGet, Keys: keys}, false)
+	resp, err := c.call(&wire.Request{Op: wire.OpMultiGet, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
-	vals, err := server.DecodeMultiGetValues(resp.Value)
+	vals, err := wire.DecodeMultiGetValues(resp.Value)
 	if err != nil {
 		return nil, fmt.Errorf("client: decode multiget response: %w", err)
 	}
@@ -408,7 +368,7 @@ func (c *Client) MultiGet(keys [][]byte) ([][]byte, error) {
 // per-opcode latency quantiles, engine iostat snapshot, and both event
 // rings).
 func (c *Client) Stats() ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpStats}, false)
+	resp, err := c.call(&wire.Request{Op: wire.OpStats})
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +379,7 @@ func (c *Client) Stats() ([]byte, error) {
 // read-path trace. The key being absent is not an error: the trace
 // reports the outcome (that miss path is what TRACE exists to explain).
 func (c *Client) Trace(key []byte) (*iostat.Trace, error) {
-	resp, err := c.call(&server.Request{Op: server.OpTrace, Key: key}, false)
+	resp, err := c.call(&wire.Request{Op: wire.OpTrace, Key: key})
 	if err != nil {
 		return nil, err
 	}
@@ -432,33 +392,33 @@ func (c *Client) Trace(key []byte) (*iostat.Trace, error) {
 
 // Ping round-trips an empty request.
 func (c *Client) Ping() error {
-	_, err := c.call(&server.Request{Op: server.OpPing}, false)
+	_, err := c.call(&wire.Request{Op: wire.OpPing})
 	return err
 }
 
 // ShardSeq is a write acknowledgment's read-your-writes coordinate: the
 // shard that applied the write and its sequence watermark afterwards.
 // Pass it to GetAtSeq on any replica of the same database.
-type ShardSeq = server.ShardSeq
+type ShardSeq = wire.ShardSeq
 
 // PutSeq stores key -> value and returns the write's (shard, seq)
 // coordinate (nil against servers without sequence watermarks).
 func (c *Client) PutSeq(key, value []byte) ([]ShardSeq, error) {
-	resp, err := c.call(&server.Request{Op: server.OpPut, Key: key, Value: value}, false)
+	resp, err := c.call(&wire.Request{Op: wire.OpPut, Key: key, Value: value})
 	if err != nil {
 		return nil, err
 	}
-	return server.DecodeSeqAcks(resp.Value)
+	return wire.DecodeSeqAcks(resp.Value)
 }
 
 // BatchSeq applies ops like Batch and returns one coordinate per shard
 // the batch touched.
 func (c *Client) BatchSeq(ops []Op) ([]ShardSeq, error) {
-	resp, err := c.call(&server.Request{Op: server.OpBatch, Ops: ops}, false)
+	resp, err := c.call(&wire.Request{Op: wire.OpBatch, Ops: ops})
 	if err != nil {
 		return nil, err
 	}
-	return server.DecodeSeqAcks(resp.Value)
+	return wire.DecodeSeqAcks(resp.Value)
 }
 
 // GetAtSeq is the read-your-writes read: the server holds the request
@@ -466,7 +426,7 @@ func (c *Client) BatchSeq(ops []Op) ([]ShardSeq, error) {
 // replication catches up to the write that produced the coordinate —
 // then reads. minSeq 0 degrades to a plain Get.
 func (c *Client) GetAtSeq(key []byte, minSeq uint64) ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpGetSeq, Key: key, MinSeq: minSeq}, false)
+	resp, err := c.call(&wire.Request{Op: wire.OpGet, Key: key, MinSeq: minSeq})
 	if err != nil {
 		return nil, err
 	}
@@ -477,7 +437,7 @@ func (c *Client) GetAtSeq(key []byte, minSeq uint64) ([]byte, error) {
 // server's checkpoint root and returns the durable marker's JSON
 // (files, bytes, per-shard seqs).
 func (c *Client) Checkpoint(name string) ([]byte, error) {
-	resp, err := c.call(&server.Request{Op: server.OpCheckpoint, Key: []byte(name)}, false)
+	resp, err := c.call(&wire.Request{Op: wire.OpCheckpoint, Key: []byte(name)})
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +452,7 @@ func (c *Client) Merkle(buckets int, seqs []uint64) (*replica.Tree, error) {
 	if buckets < 0 {
 		buckets = 0
 	}
-	resp, err := c.call(&server.Request{Op: server.OpMerkle, Buckets: uint64(buckets), Seqs: seqs}, false)
+	resp, err := c.call(&wire.Request{Op: wire.OpMerkle, Buckets: uint64(buckets), Seqs: seqs})
 	if err != nil {
 		return nil, err
 	}
@@ -504,14 +464,14 @@ func (c *Client) Merkle(buckets int, seqs []uint64) (*replica.Tree, error) {
 }
 
 // call runs one request with the retry policy.
-func (c *Client) call(req *server.Request, scan bool) (server.Response, error) {
+func (c *Client) call(req *wire.Request) (wire.Response, error) {
 	backoff := c.opts.RetryBackoff
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		w, err := c.wire()
 		if err == nil {
-			var resp server.Response
-			resp, err = c.roundTrip(w, req, scan)
+			var resp wire.Response
+			resp, err = c.roundTrip(w, req)
 			if err == nil {
 				return resp, nil
 			}
@@ -532,7 +492,7 @@ func (c *Client) call(req *server.Request, scan bool) (server.Response, error) {
 		}
 		lastErr = err
 		if attempt >= c.opts.MaxRetries || !transient(err) {
-			return server.Response{}, lastErr
+			return wire.Response{}, lastErr
 		}
 		time.Sleep(backoff)
 		backoff *= 2
@@ -540,35 +500,35 @@ func (c *Client) call(req *server.Request, scan bool) (server.Response, error) {
 }
 
 // roundTrip issues req on w and waits for its response.
-func (c *Client) roundTrip(w *wire, req *server.Request, scan bool) (server.Response, error) {
-	p, err := w.send(req, scan)
+func (c *Client) roundTrip(w *wireConn, req *wire.Request) (wire.Response, error) {
+	p, err := w.send(req)
 	if err != nil {
-		return server.Response{}, err
+		return wire.Response{}, err
 	}
 	timer := time.NewTimer(c.opts.RequestTimeout)
 	defer timer.Stop()
 	select {
 	case resp, ok := <-p.ch:
 		if !ok {
-			return server.Response{}, w.errOr(io.ErrUnexpectedEOF)
+			return wire.Response{}, w.errOr(io.ErrUnexpectedEOF)
 		}
 		switch resp.Status {
-		case server.StatusOK:
+		case wire.StatusOK:
 			return resp, nil
-		case server.StatusNotFound:
+		case wire.StatusNotFound:
 			return resp, ErrNotFound
-		case server.StatusThrottled:
+		case wire.StatusThrottled:
 			return resp, ErrThrottled
-		case server.StatusShutdown:
+		case wire.StatusShutdown:
 			return resp, ErrShutdown
-		case server.StatusConflict:
+		case wire.StatusConflict:
 			return resp, ErrCASMismatch
 		default:
 			return resp, &ServerError{Msg: string(resp.Value)}
 		}
 	case <-timer.C:
 		w.abandon(req.ID)
-		return server.Response{}, ErrTimeout
+		return wire.Response{}, ErrTimeout
 	}
 }
 
@@ -601,7 +561,7 @@ func transient(err error) bool {
 }
 
 // wire returns the live connection, dialing if needed.
-func (c *Client) wire() (*wire, error) {
+func (c *Client) wire() (*wireConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -625,7 +585,7 @@ func (c *Client) wire() (*wire, error) {
 
 // detachWire unlinks w so future calls dial afresh, while leaving its
 // read loop running to serve responses still in flight.
-func (c *Client) detachWire(w *wire) {
+func (c *Client) detachWire(w *wireConn) {
 	c.mu.Lock()
 	if c.w == w {
 		c.w = nil
@@ -634,28 +594,28 @@ func (c *Client) detachWire(w *wire) {
 }
 
 // dropWire discards w (if still current) after a transport failure.
-func (c *Client) dropWire(w *wire, err error) {
+func (c *Client) dropWire(w *wireConn, err error) {
 	c.detachWire(w)
 	w.fail(err)
 }
 
 // ---------------------------------------------------------------------------
-// wire: one live connection with a demultiplexing read loop.
+// wireConn: one live connection with a demultiplexing read loop.
 // ---------------------------------------------------------------------------
 
 type pendingCall struct {
-	ch   chan server.Response
-	scan bool
-	// stream marks a multi-response call (SCANSTREAM): the read loop
-	// keeps delivering frames on ch until a final frame (more=0 or a
-	// non-OK status) instead of resolving after one.
+	ch chan wire.Response
+	// stream marks a multi-response call (SCANSTREAM): its frames decode
+	// as scan pages, and the read loop keeps delivering them on ch until
+	// a final frame (more=0 or a non-OK status) instead of resolving
+	// after one.
 	stream bool
 	// quit, when non-nil, is closed by the consumer on early exit so a
 	// blocked read-loop delivery can bail instead of wedging the wire.
 	quit chan struct{}
 }
 
-type wire struct {
+type wireConn struct {
 	nc net.Conn
 	br *bufio.Reader
 	bw *bufio.Writer
@@ -671,12 +631,12 @@ type wire struct {
 	once   sync.Once
 }
 
-func dialWire(addr string, opts Options) (*wire, error) {
+func dialWire(addr string, opts Options) (*wireConn, error) {
 	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	w := &wire{
+	w := &wireConn{
 		nc:      nc,
 		br:      bufio.NewReaderSize(nc, 64<<10),
 		bw:      bufio.NewWriterSize(nc, 64<<10),
@@ -688,24 +648,23 @@ func dialWire(addr string, opts Options) (*wire, error) {
 }
 
 // send registers a pending call and writes the request frame.
-func (w *wire) send(req *server.Request, scan bool) (*pendingCall, error) {
-	return w.sendCall(req, &pendingCall{ch: make(chan server.Response, 1), scan: scan})
+func (w *wireConn) send(req *wire.Request) (*pendingCall, error) {
+	return w.sendCall(req, &pendingCall{ch: make(chan wire.Response, 1)})
 }
 
 // sendStream registers a streaming call: scan-shaped frames keep
 // arriving on a buffered channel until the final (more=0) frame.
-func (w *wire) sendStream(req *server.Request) (*pendingCall, error) {
+func (w *wireConn) sendStream(req *wire.Request) (*pendingCall, error) {
 	return w.sendCall(req, &pendingCall{
-		ch:     make(chan server.Response, 32),
-		scan:   true,
+		ch:     make(chan wire.Response, 32),
 		stream: true,
 		quit:   make(chan struct{}),
 	})
 }
 
-func (w *wire) sendCall(req *server.Request, p *pendingCall) (*pendingCall, error) {
+func (w *wireConn) sendCall(req *wire.Request, p *pendingCall) (*pendingCall, error) {
 	req.ID = w.nextID.Add(1)
-	if req.ID == server.ConnErrID {
+	if req.ID == wire.ConnErrID {
 		// Skip the reserved connection-level-error ID on wraparound.
 		req.ID = w.nextID.Add(1)
 	}
@@ -718,9 +677,9 @@ func (w *wire) sendCall(req *server.Request, p *pendingCall) (*pendingCall, erro
 	w.pending[req.ID] = p
 	w.pmu.Unlock()
 
-	payload := server.AppendRequest(nil, req)
+	payload := wire.AppendRequest(nil, req)
 	w.wmu.Lock()
-	err := server.WriteFrame(w.bw, payload)
+	err := wire.WriteFrame(w.bw, payload)
 	if err == nil {
 		err = w.bw.Flush()
 	}
@@ -733,7 +692,7 @@ func (w *wire) sendCall(req *server.Request, p *pendingCall) (*pendingCall, erro
 }
 
 // abandon forgets a timed-out call so its late response is discarded.
-func (w *wire) abandon(id uint32) {
+func (w *wireConn) abandon(id uint32) {
 	w.pmu.Lock()
 	delete(w.pending, id)
 	w.pmu.Unlock()
@@ -741,7 +700,7 @@ func (w *wire) abandon(id uint32) {
 
 // fail poisons the wire: the connection closes and every pending call's
 // channel is closed (callers read the error via errOr).
-func (w *wire) fail(err error) {
+func (w *wireConn) fail(err error) {
 	w.once.Do(func() {
 		w.pmu.Lock()
 		w.err = err
@@ -761,7 +720,7 @@ func (w *wire) fail(err error) {
 	})
 }
 
-func (w *wire) errOr(fallback error) error {
+func (w *wireConn) errOr(fallback error) error {
 	w.pmu.Lock()
 	defer w.pmu.Unlock()
 	if w.err != nil {
@@ -770,20 +729,20 @@ func (w *wire) errOr(fallback error) error {
 	return fallback
 }
 
-func (w *wire) readLoop(maxFrame int) {
+func (w *wireConn) readLoop(maxFrame int) {
 	for {
-		payload, err := server.ReadFrame(w.br, maxFrame)
+		payload, err := wire.ReadFrame(w.br, maxFrame)
 		if err != nil {
 			w.fail(err)
 			return
 		}
 		id := binary.LittleEndian.Uint32(payload)
-		if id == server.ConnErrID {
+		if id == wire.ConnErrID {
 			// Reserved ID: the server reports that framing was lost on
 			// this connection and is about to hang up. Surface its
 			// message rather than a bare EOF.
 			err := io.ErrUnexpectedEOF
-			if resp, derr := server.DecodeResponse(payload, false); derr == nil {
+			if resp, derr := wire.DecodeResponse(payload, false); derr == nil {
 				err = fmt.Errorf("client: connection error from server: %s", resp.Value)
 			}
 			w.fail(err)
@@ -795,14 +754,14 @@ func (w *wire) readLoop(maxFrame int) {
 		if p == nil {
 			continue // abandoned (timed out) request
 		}
-		resp, err := server.DecodeResponse(payload, p.scan)
+		resp, err := wire.DecodeResponse(payload, p.stream)
 		if err != nil {
 			w.fail(err)
 			return
 		}
 		// A plain call resolves on its one response; a stream stays
 		// pending until a final frame (more=0) or an error status.
-		if !p.stream || resp.Status != server.StatusOK || !resp.More {
+		if !p.stream || resp.Status != wire.StatusOK || !resp.More {
 			w.pmu.Lock()
 			delete(w.pending, id)
 			w.pmu.Unlock()

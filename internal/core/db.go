@@ -966,6 +966,15 @@ func (db *DB) Latencies() map[string]iostat.LatencySummary { return db.lat.Summa
 // Nil when Options.EventLogSize is negative.
 func (db *DB) Events() []iostat.Event { return db.events.Events() }
 
+// BackgroundError returns the first flush or compaction failure, or nil.
+// The error is sticky: writes, Flush and WaitIdle return it until the
+// database is reopened.
+func (db *DB) BackgroundError() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.bgErr
+}
+
 // EventLog exposes the engine's event ring (nil when disabled), so the
 // serving layer can interleave its own events with the engine's.
 func (db *DB) EventLog() *iostat.EventLog { return db.events }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lsmkv/internal/iostat"
+	"lsmkv/internal/wire"
 )
 
 // FollowerConfig configures a follower's replication loop.
@@ -176,24 +177,34 @@ func (f *Follower) syncOnce(backoff *time.Duration) error {
 	}()
 
 	watermarks := f.cfg.DB.LastSeqs()
-	if err := writeReplSync(conn, 1, watermarks); err != nil {
+	bw := bufio.NewWriter(conn)
+	req := wire.Request{ID: 1, Op: wire.OpReplSync, Seqs: watermarks}
+	if err := wire.WriteFrame(bw, wire.AppendRequest(nil, &req)); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
 		return err
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	first := true
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.IdleTimeout))
-		_, status, body, err := readResponseFrame(br)
+		// Each payload is freshly allocated: applied records alias it.
+		payload, err := wire.ReadFrame(br, wire.DefaultMaxFrameBytes)
 		if err != nil {
 			if f.isStopped() {
 				return nil
 			}
 			return err
 		}
-		if status != wireStatusOK {
-			return fmt.Errorf("replica: server rejected stream: %s", body)
+		resp, err := wire.DecodeResponse(payload, false)
+		if err != nil {
+			return err
 		}
-		frame, err := DecodeFrame(body)
+		if resp.Status != wire.StatusOK {
+			return fmt.Errorf("replica: server rejected stream: %s", resp.Value)
+		}
+		frame, err := DecodeFrame(resp.Value)
 		if err != nil {
 			return err
 		}

@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"lsmkv/internal/wire"
 )
 
 // fakeTarget is a Target whose watermark is driven by 8-byte
@@ -78,44 +79,27 @@ func (fp *fakePrimary) acceptSync() (net.Conn, []uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	br := bufio.NewReader(conn)
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	payload, err := wire.ReadFrame(conn, wire.DefaultMaxFrameBytes)
+	if err != nil {
 		conn.Close()
 		return nil, nil, err
 	}
-	payload := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-	if _, err := io.ReadFull(br, payload); err != nil {
+	req, err := wire.DecodeRequest(payload)
+	if err != nil || req.Op != wire.OpReplSync {
 		conn.Close()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("handshake %v (%v), want REPLSYNC", req.Op, err)
 	}
-	if payload[4] != WireOpReplSync {
-		conn.Close()
-		return nil, nil, fmt.Errorf("opcode %d, want REPLSYNC", payload[4])
-	}
-	rest := payload[5:]
-	count, n := binary.Uvarint(rest)
-	rest = rest[n:]
-	seqs := make([]uint64, 0, count)
-	for i := uint64(0); i < count; i++ {
-		s, n := binary.Uvarint(rest)
-		rest = rest[n:]
-		seqs = append(seqs, s)
-	}
-	return conn, seqs, nil
+	return conn, req.Seqs, nil
 }
 
 // sendFrame writes one REPLFRAME response body on request ID 1.
 func sendFrame(conn net.Conn, body []byte) error {
-	payload := make([]byte, 5+len(body))
-	binary.LittleEndian.PutUint32(payload[0:4], 1)
-	payload[4] = wireStatusOK
-	copy(payload[5:], body)
-	raw := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(raw[0:4], uint32(len(payload)))
-	copy(raw[4:], payload)
-	_, err := conn.Write(raw)
-	return err
+	bw := bufio.NewWriter(conn)
+	resp := wire.Response{ID: 1, Status: wire.StatusOK, Value: body}
+	if err := wire.WriteFrame(bw, wire.AppendResponse(nil, &resp)); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 func TestFollowerStreamApplyAndReconnect(t *testing.T) {

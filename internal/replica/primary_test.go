@@ -113,7 +113,12 @@ func TestPrimaryStreamShipsCommits(t *testing.T) {
 		t.Fatalf("shard 1 records: %q", got1)
 	}
 
+	// The stream counts a frame once its send returns, which can be just
+	// after the frame reached this goroutine: wait for the count.
 	st := p.Status()
+	for wait := time.Now().Add(5 * time.Second); st.RecordsSent < 3 && time.Now().Before(wait); st = p.Status() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Streams != 1 || st.RecordsSent < 3 {
 		t.Fatalf("status mid-stream: %+v", st)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"lsmkv/internal/core"
 	"lsmkv/internal/kv"
+	"lsmkv/internal/wire"
 )
 
 // rmwOp is one read-modify-write (INCR or CAS) riding a commitReq. The
@@ -16,7 +17,7 @@ import (
 // a resolution failure excludes the op from the group, so the group's
 // own commit error and err are independent.
 type rmwOp struct {
-	op          Opcode // OpIncr or OpCas
+	op          wire.Opcode // OpIncr or OpCas
 	key         []byte
 	delta       int64  // INCR addend
 	expected    []byte // CAS comparand (when hasExpected)
@@ -154,7 +155,7 @@ func (c *committer) resolveRMW(r *rmwOp, pending []core.BatchOp) *core.BatchOp {
 		return nil
 	}
 	switch r.op {
-	case OpIncr:
+	case wire.OpIncr:
 		var n int64
 		if found {
 			var ok bool
@@ -167,7 +168,7 @@ func (c *committer) resolveRMW(r *rmwOp, pending []core.BatchOp) *core.BatchOp {
 		r.result = n
 		op := core.PutOp(r.key, core.AppendCounter(nil, n))
 		return &op
-	case OpCas:
+	case wire.OpCas:
 		if r.hasExpected != found || (found && string(cur) != string(r.expected)) {
 			r.err = core.ErrCASMismatch
 			return nil

@@ -13,12 +13,13 @@ import (
 
 	"lsmkv/internal/core"
 	"lsmkv/internal/iostat"
+	"lsmkv/internal/wire"
 )
 
 // conn is one client connection. Three goroutines cooperate to give
 // pipelining without unbounded buffering:
 //
-//   - readLoop decodes frames; reads (GET/SCAN/STATS/PING) execute
+//   - readLoop decodes frames; reads (GET/SCANSTREAM/STATS/PING) execute
 //     inline, writes are handed to the server-wide group committer and a
 //     pending-ack token is queued on acks.
 //   - ackLoop awaits each write's commit outcome in submission order and
@@ -55,7 +56,7 @@ type conn struct {
 // The ack goes out only after all of them complete; the first error wins.
 type pendingWrite struct {
 	id    uint32
-	op    Opcode
+	op    wire.Opcode
 	start time.Time
 	reqs  []*commitReq
 }
@@ -119,34 +120,34 @@ func (c *conn) readLoop() {
 		if !c.armReadDeadline() {
 			return
 		}
-		payload, err := ReadFrame(c.br, c.srv.cfg.MaxFrameBytes)
+		payload, err := wire.ReadFrame(c.br, c.srv.cfg.MaxFrameBytes)
 		if err != nil {
-			if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrMalformed) {
+			if errors.Is(err, wire.ErrFrameTooLarge) || errors.Is(err, wire.ErrMalformed) {
 				// Framing is lost; tell the client why on the reserved
 				// connection-level ID, then hang up.
 				c.srv.metrics.DecodeErrors.Add(1)
-				c.send(&Response{ID: ConnErrID, Status: StatusError, Value: []byte(err.Error())})
+				c.send(&wire.Response{ID: wire.ConnErrID, Status: wire.StatusError, Value: []byte(err.Error())})
 			}
 			return
 		}
-		c.srv.metrics.BytesIn.Add(int64(len(payload) + frameHeaderLen))
-		req, err := DecodeRequest(payload)
+		c.srv.metrics.BytesIn.Add(int64(len(payload) + wire.FrameHeaderLen))
+		req, err := wire.DecodeRequest(payload)
 		if err != nil {
 			// Frame boundary intact, body malformed: answer and carry on.
 			c.srv.metrics.DecodeErrors.Add(1)
-			c.send(&Response{ID: req.ID, Status: StatusError, Value: []byte(err.Error())})
+			c.send(&wire.Response{ID: req.ID, Status: wire.StatusError, Value: []byte(err.Error())})
 			continue
 		}
 		c.dispatch(&req)
 	}
 }
 
-func (c *conn) dispatch(req *Request) {
+func (c *conn) dispatch(req *wire.Request) {
 	m := c.srv.metrics
 	m.Inflight.Add(1)
 	start := time.Now()
 
-	if c.srv.bucket != nil && req.Op != OpPing {
+	if c.srv.bucket != nil && req.Op != wire.OpPing {
 		wait, ok := c.srv.bucket.Reserve(c.srv.cfg.MaxThrottleDelay)
 		if !ok {
 			m.Throttled.Add(1)
@@ -155,7 +156,7 @@ func (c *conn) dispatch(req *Request) {
 				Detail: req.Op.String(),
 			})
 			m.observeOp(req.Op, time.Since(start))
-			c.send(&Response{ID: req.ID, Status: StatusThrottled, Value: []byte("rate limit exceeded")})
+			c.send(&wire.Response{ID: req.ID, Status: wire.StatusThrottled, Value: []byte("rate limit exceeded")})
 			return
 		}
 		if wait > 0 {
@@ -167,60 +168,85 @@ func (c *conn) dispatch(req *Request) {
 	}
 
 	switch req.Op {
-	case OpPing:
-		c.finishRead(req, start, &Response{ID: req.ID, Status: StatusOK})
-	case OpGet:
+	case wire.OpPing:
+		c.finishRead(req, start, &wire.Response{ID: req.ID, Status: wire.StatusOK})
+	case wire.OpGet:
 		c.handleGet(req, start)
-	case OpMultiGet:
+	case wire.OpMultiGet:
 		c.handleMultiGet(req, start)
-	case OpScan:
-		c.handleScan(req, start)
-	case OpScanStream:
+	case wire.OpScanStream:
 		c.handleScanStream(req, start)
-	case OpStats:
+	case wire.OpStats:
 		c.handleStats(req, start)
-	case OpTrace:
+	case wire.OpTrace:
 		c.handleTrace(req, start)
-	case OpGetSeq:
-		c.handleGetSeq(req, start)
-	case OpCheckpoint:
+	case wire.OpCheckpoint:
 		c.handleCheckpoint(req, start)
-	case OpMerkle:
+	case wire.OpMerkle:
 		c.handleMerkle(req, start)
-	case OpReplSync:
+	case wire.OpReplSync:
 		c.handleReplSync(req, start)
-	case OpSketch:
+	case wire.OpSketch:
 		c.handleSketch(req, start)
-	case OpPut:
-		c.submitWrite(req, start, []core.BatchOp{core.PutOp(req.Key, req.Value)})
-	case OpPutTTL:
-		// The absolute expiry is stamped server-side at dispatch, so
-		// clients never need a synchronized clock — only a duration.
-		exp := time.Now().UnixNano() + int64(req.TTLMillis)*int64(time.Millisecond)
-		c.submitWrite(req, start, []core.BatchOp{core.PutTTLOp(req.Key, req.Value, exp)})
-	case OpDelete:
+	case wire.OpPut:
+		op := core.PutOp(req.Key, req.Value)
+		if req.HasTTL {
+			// The absolute expiry is stamped server-side at dispatch, so
+			// clients never need a synchronized clock — only a duration.
+			exp := time.Now().UnixNano() + int64(req.TTLMillis)*int64(time.Millisecond)
+			op = core.PutTTLOp(req.Key, req.Value, exp)
+		}
+		c.submitWrite(req, start, []core.BatchOp{op})
+	case wire.OpDelete:
 		c.submitWrite(req, start, []core.BatchOp{core.DeleteOp(req.Key)})
-	case OpBatch:
-		c.submitWrite(req, start, req.Ops)
-	case OpIncr, OpCas:
+	case wire.OpBatch:
+		ops := make([]core.BatchOp, len(req.Ops))
+		for i, op := range req.Ops {
+			ops[i] = core.PutOp(op.Key, op.Value)
+			if op.Delete {
+				ops[i] = core.DeleteOp(op.Key)
+			}
+		}
+		c.submitWrite(req, start, ops)
+	case wire.OpIncr, wire.OpCas:
 		c.submitRMW(req, start)
 	}
 }
 
 // finishRead records metrics for an inline-served request and sends its
 // response.
-func (c *conn) finishRead(req *Request, start time.Time, resp *Response) {
+func (c *conn) finishRead(req *wire.Request, start time.Time, resp *wire.Response) {
 	c.srv.metrics.observeOp(req.Op, time.Since(start))
 	c.send(resp)
 }
 
-func (c *conn) handleGet(req *Request, start time.Time) {
+// handleGet serves GET. A request carrying MinSeq is the
+// read-your-writes GET: it first waits until the key's shard has applied
+// at least MinSeq (on a follower, until replication catches up). Engines
+// without sequence watermarks reject a MinSeq.
+func (c *conn) handleGet(req *wire.Request, start time.Time) {
+	if req.MinSeq > 0 {
+		if c.srv.seqEng == nil {
+			resp := wire.Response{ID: req.ID, Status: wire.StatusError, Value: []byte("server: engine has no sequence watermarks")}
+			c.finishRead(req, start, &resp)
+			return
+		}
+		shard := 0
+		if c.srv.sharded != nil {
+			shard = c.srv.sharded.ShardOf(req.Key)
+		}
+		if err := c.srv.seqEng.WaitForSeq(shard, req.MinSeq, seqWaitTimeout); err != nil {
+			resp := errResponse(req.ID, err)
+			c.finishRead(req, start, &resp)
+			return
+		}
+	}
 	ag := c.srv.appendEng
 	if ag == nil {
 		value, err := c.srv.cfg.DB.Get(req.Key)
-		resp := Response{ID: req.ID, Status: StatusOK, Value: value}
+		resp := wire.Response{ID: req.ID, Status: wire.StatusOK, Value: value}
 		if errors.Is(err, core.ErrNotFound) {
-			resp = Response{ID: req.ID, Status: StatusNotFound}
+			resp = wire.Response{ID: req.ID, Status: wire.StatusNotFound}
 		} else if err != nil {
 			resp = errResponse(req.ID, err)
 		}
@@ -230,17 +256,16 @@ func (c *conn) handleGet(req *Request, start time.Time) {
 	// Append-capable engine: the value lands directly after the response
 	// header in the pooled buffer — no intermediate value slice at all.
 	rb := getRespBuf()
-	rb.b = binary.LittleEndian.AppendUint32(rb.b, req.ID)
-	rb.b = append(rb.b, byte(StatusOK))
+	rb.b = wire.AppendResponseHeader(rb.b, req.ID, wire.StatusOK)
 	b, err := ag.GetAppend(req.Key, rb.b)
 	switch {
 	case err == nil:
 		rb.b = b
 	case errors.Is(err, core.ErrNotFound):
-		rb.b = AppendResponse(rb.b[:0], &Response{ID: req.ID, Status: StatusNotFound})
+		rb.b = wire.AppendResponse(rb.b[:0], &wire.Response{ID: req.ID, Status: wire.StatusNotFound})
 	default:
 		resp := errResponse(req.ID, err)
-		rb.b = AppendResponse(rb.b[:0], &resp)
+		rb.b = wire.AppendResponse(rb.b[:0], &resp)
 	}
 	c.srv.metrics.observeOp(req.Op, time.Since(start))
 	c.sendBuf(rb)
@@ -250,7 +275,7 @@ func (c *conn) handleGet(req *Request, start time.Time) {
 // response carries found/value slots aligned with the request's keys.
 // Engines exposing MultiGet (the sharded facade) fan the batch out per
 // shard in parallel; others fall back to a sequential key loop.
-func (c *conn) handleMultiGet(req *Request, start time.Time) {
+func (c *conn) handleMultiGet(req *wire.Request, start time.Time) {
 	var vals [][]byte
 	var err error
 	if mg := c.srv.multiEng; mg != nil {
@@ -278,59 +303,31 @@ func (c *conn) handleMultiGet(req *Request, start time.Time) {
 		return
 	}
 	rb := getRespBuf()
-	rb.b = binary.LittleEndian.AppendUint32(rb.b, req.ID)
-	rb.b = append(rb.b, byte(StatusOK))
-	rb.b = AppendMultiGetValues(rb.b, vals)
+	rb.b = wire.AppendResponseHeader(rb.b, req.ID, wire.StatusOK)
+	rb.b = wire.AppendMultiGetValues(rb.b, vals)
 	c.srv.metrics.observeOp(req.Op, time.Since(start))
 	c.sendBuf(rb)
 }
 
-func (c *conn) handleScan(req *Request, start time.Time) {
-	limit := int(req.Limit)
-	if limit <= 0 || limit > c.srv.cfg.MaxScanResults {
-		limit = c.srv.cfg.MaxScanResults
-	}
-	byteBudget := c.srv.cfg.MaxFrameBytes / 2
-	resp := Response{ID: req.ID, Status: StatusOK, Pairs: make([]KV, 0, 16)}
-	used := 0
-	err := c.srv.cfg.DB.Scan(req.Lo, req.Hi, func(k, v []byte) bool {
-		if len(resp.Pairs) >= limit || used >= byteBudget {
-			resp.More = true
-			return false
-		}
-		// The callback's slices are only valid during the call.
-		resp.Pairs = append(resp.Pairs, KV{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
-		used += len(k) + len(v) + 16
-		return true
-	})
-	if err != nil {
-		resp = errResponse(req.ID, err)
-	}
-	c.finishRead(req, start, &resp)
-}
-
 // handleScanStream serves SCANSTREAM: the whole scan flows to the
-// client as a sequence of SCAN-shaped frames on this request's ID —
+// client as a sequence of scan-page frames on this request's ID —
 // more=1 frames while data remains, a final more=0 frame to end the
 // stream. Like REPLSYNC it occupies the read loop, and the bounded out
 // channel is the backpressure: a slow client stalls the scan instead of
 // buffering it. Limit bounds pairs per frame, not the stream.
-func (c *conn) handleScanStream(req *Request, start time.Time) {
+func (c *conn) handleScanStream(req *wire.Request, start time.Time) {
 	limit := int(req.Limit)
 	if limit <= 0 || limit > c.srv.cfg.MaxScanResults {
 		limit = c.srv.cfg.MaxScanResults
 	}
 	byteBudget := c.srv.cfg.MaxFrameBytes / 2
-	pairs := make([]KV, 0, 16)
+	pairs := make([]wire.KV, 0, 16)
 	used := 0
 	stopped := false
 	emit := func(more bool) {
 		// send encodes synchronously, so the pair buffers may be reused
 		// as soon as it returns.
-		c.send(&Response{ID: req.ID, Status: StatusOK, Pairs: pairs, More: more})
+		c.send(&wire.Response{ID: req.ID, Status: wire.StatusOK, Pairs: pairs, More: more})
 		pairs = pairs[:0]
 		used = 0
 	}
@@ -342,7 +339,7 @@ func (c *conn) handleScanStream(req *Request, start time.Time) {
 		default:
 		}
 		// The callback's slices are only valid during the call.
-		pairs = append(pairs, KV{
+		pairs = append(pairs, wire.KV{
 			Key:   append([]byte(nil), k...),
 			Value: append([]byte(nil), v...),
 		})
@@ -368,9 +365,9 @@ func (c *conn) handleScanStream(req *Request, start time.Time) {
 	c.srv.metrics.observeOp(req.Op, time.Since(start))
 }
 
-func (c *conn) handleStats(req *Request, start time.Time) {
+func (c *conn) handleStats(req *wire.Request, start time.Time) {
 	body, err := json.Marshal(c.srv.payload())
-	resp := Response{ID: req.ID, Status: StatusOK, Value: body}
+	resp := wire.Response{ID: req.ID, Status: wire.StatusOK, Value: body}
 	if err != nil {
 		resp = errResponse(req.ID, err)
 	}
@@ -380,7 +377,7 @@ func (c *conn) handleStats(req *Request, start time.Time) {
 // handleTrace serves the TRACE opcode: a traced point lookup whose JSON
 // trace is the response body. Not-found is still StatusOK — the trace
 // reports the outcome, and the miss path is the diagnostic payoff.
-func (c *conn) handleTrace(req *Request, start time.Time) {
+func (c *conn) handleTrace(req *wire.Request, start time.Time) {
 	_, tr, err := c.srv.cfg.DB.GetTraced(req.Key)
 	if err != nil && !errors.Is(err, core.ErrNotFound) {
 		resp := errResponse(req.ID, err)
@@ -388,55 +385,31 @@ func (c *conn) handleTrace(req *Request, start time.Time) {
 		return
 	}
 	body, jerr := json.Marshal(tr)
-	resp := Response{ID: req.ID, Status: StatusOK, Value: body}
+	resp := wire.Response{ID: req.ID, Status: wire.StatusOK, Value: body}
 	if jerr != nil {
 		resp = errResponse(req.ID, jerr)
 	}
 	c.finishRead(req, start, &resp)
 }
 
-// getSeqWaitTimeout bounds how long a GETSEQ read waits for its shard's
+// seqWaitTimeout bounds how long a min-seq GET waits for its shard's
 // watermark; a lagging follower answers with an error the client can
 // retry rather than holding the connection indefinitely.
-const getSeqWaitTimeout = 30 * time.Second
-
-// handleGetSeq serves the read-your-writes GET: wait until the key's
-// shard has applied at least MinSeq (on a follower, until replication
-// catches up), then read. Engines without sequence watermarks degrade to
-// a plain GET when MinSeq is 0 and reject otherwise.
-func (c *conn) handleGetSeq(req *Request, start time.Time) {
-	if req.MinSeq > 0 {
-		if c.srv.seqEng == nil {
-			resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: engine has no sequence watermarks")}
-			c.finishRead(req, start, &resp)
-			return
-		}
-		shard := 0
-		if c.srv.sharded != nil {
-			shard = c.srv.sharded.ShardOf(req.Key)
-		}
-		if err := c.srv.seqEng.WaitForSeq(shard, req.MinSeq, getSeqWaitTimeout); err != nil {
-			resp := errResponse(req.ID, err)
-			c.finishRead(req, start, &resp)
-			return
-		}
-	}
-	c.handleGet(req, start)
-}
+const seqWaitTimeout = 30 * time.Second
 
 // handleCheckpoint serves the CHECKPOINT opcode: an online backup into a
 // named subdirectory of the server's checkpoint root. It runs inline —
 // blocking only this connection — while writes proceed through the
 // committers; the response body is the durable marker's JSON.
-func (c *conn) handleCheckpoint(req *Request, start time.Time) {
+func (c *conn) handleCheckpoint(req *wire.Request, start time.Time) {
 	name := string(req.Key)
 	if c.srv.ckptEng == nil || c.srv.cfg.CheckpointDir == "" {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: checkpoints not enabled (no -checkpoint-dir)")}
+		resp := wire.Response{ID: req.ID, Status: wire.StatusError, Value: []byte("server: checkpoints not enabled (no -checkpoint-dir)")}
 		c.finishRead(req, start, &resp)
 		return
 	}
 	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\\") {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: checkpoint name must be a plain directory name")}
+		resp := wire.Response{ID: req.ID, Status: wire.StatusError, Value: []byte("server: checkpoint name must be a plain directory name")}
 		c.finishRead(req, start, &resp)
 		return
 	}
@@ -447,7 +420,7 @@ func (c *conn) handleCheckpoint(req *Request, start time.Time) {
 		return
 	}
 	body, jerr := json.Marshal(info)
-	resp := Response{ID: req.ID, Status: StatusOK, Value: body}
+	resp := wire.Response{ID: req.ID, Status: wire.StatusOK, Value: body}
 	if jerr != nil {
 		resp = errResponse(req.ID, jerr)
 	}
@@ -459,9 +432,9 @@ func (c *conn) handleCheckpoint(req *Request, start time.Time) {
 // engine's logical content pinned at the request's sequence vector
 // (current watermarks when empty). The full scan runs inline, blocking
 // only this connection.
-func (c *conn) handleMerkle(req *Request, start time.Time) {
+func (c *conn) handleMerkle(req *wire.Request, start time.Time) {
 	if c.srv.merkleEng == nil {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: engine has no Merkle support")}
+		resp := wire.Response{ID: req.ID, Status: wire.StatusError, Value: []byte("server: engine has no Merkle support")}
 		c.finishRead(req, start, &resp)
 		return
 	}
@@ -474,7 +447,7 @@ func (c *conn) handleMerkle(req *Request, start time.Time) {
 	// pinning, so cross-server comparison doesn't race replication.
 	if seqs != nil && c.srv.seqEng != nil {
 		for shard, seq := range seqs {
-			if err := c.srv.seqEng.WaitForSeq(shard, seq, getSeqWaitTimeout); err != nil {
+			if err := c.srv.seqEng.WaitForSeq(shard, seq, seqWaitTimeout); err != nil {
 				resp := errResponse(req.ID, err)
 				c.finishRead(req, start, &resp)
 				return
@@ -488,7 +461,7 @@ func (c *conn) handleMerkle(req *Request, start time.Time) {
 		return
 	}
 	body, jerr := json.Marshal(tree)
-	resp := Response{ID: req.ID, Status: StatusOK, Value: body}
+	resp := wire.Response{ID: req.ID, Status: wire.StatusOK, Value: body}
 	if jerr != nil {
 		resp = errResponse(req.ID, jerr)
 	}
@@ -501,9 +474,9 @@ func (c *conn) handleMerkle(req *Request, start time.Time) {
 // fall off the backlog (an error frame explains, then the stream ends).
 // The call occupies the read loop, so the connection is dedicated —
 // exactly how the follower uses it.
-func (c *conn) handleReplSync(req *Request, start time.Time) {
+func (c *conn) handleReplSync(req *wire.Request, start time.Time) {
 	if c.srv.cfg.Repl == nil {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: replication not enabled")}
+		resp := wire.Response{ID: req.ID, Status: wire.StatusError, Value: []byte("server: replication not enabled")}
 		c.finishRead(req, start, &resp)
 		return
 	}
@@ -514,7 +487,7 @@ func (c *conn) handleReplSync(req *Request, start time.Time) {
 			return errStreamStopped
 		default:
 		}
-		c.send(&Response{ID: req.ID, Status: StatusOK, Value: frame})
+		c.send(&wire.Response{ID: req.ID, Status: wire.StatusOK, Value: frame})
 		return nil
 	}
 	err := c.srv.cfg.Repl.Stream(req.Seqs, send, c.stop)
@@ -533,14 +506,14 @@ var errStreamStopped = errors.New("server: stream stopped")
 // committer and a BATCH is split into per-shard sub-batches, each
 // submitted to its shard's committer; the ack waits for all of them. All
 // channels apply backpressure by blocking the read loop when full.
-func (c *conn) submitWrite(req *Request, start time.Time, ops []core.BatchOp) {
+func (c *conn) submitWrite(req *wire.Request, start time.Time, ops []core.BatchOp) {
 	if c.srv.cfg.ReadOnly {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: read-only replica (writes go to the primary)")}
+		resp := wire.Response{ID: req.ID, Status: wire.StatusError, Value: []byte("server: read-only replica (writes go to the primary)")}
 		c.finishRead(req, start, &resp)
 		return
 	}
 	if len(ops) == 0 {
-		c.finishRead(req, start, &Response{ID: req.ID, Status: StatusOK})
+		c.finishRead(req, start, &wire.Response{ID: req.ID, Status: wire.StatusOK})
 		return
 	}
 	pw := &pendingWrite{id: req.ID, op: req.Op, start: start}
@@ -575,30 +548,30 @@ func (c *conn) submitWrite(req *Request, start time.Time, ops []core.BatchOp) {
 // write-stream sketches: freq routes to the key's owning shard's
 // count-min; card sums the per-shard HyperLogLog estimates, which is
 // sound because hash routing makes shard keyspaces disjoint.
-func (c *conn) handleSketch(req *Request, start time.Time) {
+func (c *conn) handleSketch(req *wire.Request, start time.Time) {
 	var est uint64
 	switch req.Sub {
-	case SketchFreq:
+	case wire.SketchFreq:
 		shard := 0
 		if se := c.srv.sharded; se != nil {
 			shard = se.ShardOf(req.Key)
 		}
 		est = c.srv.sketches[shard].Freq(req.Key)
-	case SketchCard:
+	case wire.SketchCard:
 		for _, set := range c.srv.sketches {
 			est += set.Card()
 		}
 	}
-	resp := Response{ID: req.ID, Status: StatusOK, Value: binary.AppendUvarint(nil, est)}
+	resp := wire.Response{ID: req.ID, Status: wire.StatusOK, Value: binary.AppendUvarint(nil, est)}
 	c.finishRead(req, start, &resp)
 }
 
 // submitRMW routes an INCR or CAS to its key's group committer, which
 // resolves it atomically under the shard's single-writer serialization;
 // the ack carries the result (or the conflict).
-func (c *conn) submitRMW(req *Request, start time.Time) {
+func (c *conn) submitRMW(req *wire.Request, start time.Time) {
 	if c.srv.cfg.ReadOnly {
-		resp := Response{ID: req.ID, Status: StatusError, Value: []byte("server: read-only replica (writes go to the primary)")}
+		resp := wire.Response{ID: req.ID, Status: wire.StatusError, Value: []byte("server: read-only replica (writes go to the primary)")}
 		c.finishRead(req, start, &resp)
 		return
 	}
@@ -627,7 +600,7 @@ func (c *conn) ackLoop() {
 				err = e
 			}
 		}
-		resp := Response{ID: pw.id, Status: StatusOK}
+		resp := wire.Response{ID: pw.id, Status: wire.StatusOK}
 		if err != nil {
 			resp = errResponse(pw.id, err)
 		} else if len(pw.reqs) == 1 && pw.reqs[0].rmw != nil {
@@ -636,24 +609,24 @@ func (c *conn) ackLoop() {
 			rmw := pw.reqs[0].rmw
 			switch {
 			case errors.Is(rmw.err, core.ErrCASMismatch):
-				resp = Response{ID: pw.id, Status: StatusConflict, Value: []byte(rmw.err.Error())}
+				resp = wire.Response{ID: pw.id, Status: wire.StatusConflict, Value: []byte(rmw.err.Error())}
 			case rmw.err != nil:
 				resp = errResponse(pw.id, rmw.err)
-			case pw.op == OpIncr:
+			case pw.op == wire.OpIncr:
 				resp.Value = binary.AppendVarint(nil, rmw.result)
 			}
 		} else if c.srv.seqEng != nil {
 			// Successful write acks carry (shard, seq) coordinates for
 			// read-your-writes against replicas; clients that predate them
 			// ignore ack bodies.
-			acks := make([]ShardSeq, 0, len(pw.reqs))
+			acks := make([]wire.ShardSeq, 0, len(pw.reqs))
 			for _, cr := range pw.reqs {
 				if cr.seq > 0 {
-					acks = append(acks, ShardSeq{Shard: cr.shard, Seq: cr.seq})
+					acks = append(acks, wire.ShardSeq{Shard: cr.shard, Seq: cr.seq})
 				}
 			}
 			if len(acks) > 0 {
-				resp.Value = AppendSeqAcks(nil, acks)
+				resp.Value = wire.AppendSeqAcks(nil, acks)
 			}
 		}
 		c.srv.metrics.observeOp(pw.op, time.Since(pw.start))
@@ -662,20 +635,20 @@ func (c *conn) ackLoop() {
 	close(c.out)
 }
 
-func errResponse(id uint32, err error) Response {
-	status := StatusError
+func errResponse(id uint32, err error) wire.Response {
+	status := wire.StatusError
 	if errors.Is(err, core.ErrClosed) {
-		status = StatusShutdown
+		status = wire.StatusShutdown
 	}
-	return Response{ID: id, Status: status, Value: []byte(err.Error())}
+	return wire.Response{ID: id, Status: status, Value: []byte(err.Error())}
 }
 
 // send encodes resp into a pooled buffer and queues it; it blocks when
 // the client stops reading (bounded buffering, natural backpressure).
 // The write loop returns the buffer to the pool after the frame is out.
-func (c *conn) send(resp *Response) {
+func (c *conn) send(resp *wire.Response) {
 	rb := getRespBuf()
-	rb.b = AppendResponse(rb.b, resp)
+	rb.b = wire.AppendResponse(rb.b, resp)
 	c.sendBuf(rb)
 }
 
@@ -694,7 +667,7 @@ func (c *conn) writeLoop(done chan struct{}) {
 			return
 		}
 		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-		if err := WriteFrame(c.bw, rb.b); err != nil {
+		if err := wire.WriteFrame(c.bw, rb.b); err != nil {
 			// The connection is dead: keep draining out so the other
 			// goroutines never block, and close to unblock the reader. The
 			// stop signal terminates any replication stream feeding out.
@@ -703,7 +676,7 @@ func (c *conn) writeLoop(done chan struct{}) {
 			c.signalStop()
 			return
 		}
-		c.srv.metrics.BytesOut.Add(int64(len(rb.b) + frameHeaderLen))
+		c.srv.metrics.BytesOut.Add(int64(len(rb.b) + wire.FrameHeaderLen))
 	}
 	flush := func() {
 		if broken {

@@ -9,6 +9,7 @@ import (
 	"lsmkv/internal/iostat"
 	"lsmkv/internal/replica"
 	"lsmkv/internal/tuner"
+	"lsmkv/internal/wire"
 )
 
 // commitHistBuckets sizes the commit-batch histogram: bucket i counts
@@ -40,8 +41,8 @@ type Metrics struct {
 
 	// Per-opcode request counts and service-latency histograms. The
 	// histograms are lock-free; quantiles come out via Snapshot.
-	Requests [opMax]atomic.Int64
-	Latency  [opMax]iostat.Histogram
+	Requests [wire.NumOpcodes]atomic.Int64
+	Latency  [wire.NumOpcodes]iostat.Histogram
 
 	// CommitQueue is the number of write requests waiting for the
 	// group-commit loop (gauge).
@@ -57,8 +58,8 @@ type Metrics struct {
 func newMetrics() *Metrics { return &Metrics{start: time.Now()} }
 
 // observeOp records one served request of the given opcode.
-func (m *Metrics) observeOp(op Opcode, dur time.Duration) {
-	if op < opMax {
+func (m *Metrics) observeOp(op wire.Opcode, dur time.Duration) {
+	if op < wire.NumOpcodes {
 		m.Requests[op].Add(1)
 		m.Latency[op].Observe(dur)
 	}
@@ -133,7 +134,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	if s.CommitBatches > 0 {
 		s.MeanBatchSize = float64(s.CommitOps) / float64(s.CommitBatches)
 	}
-	for op := Opcode(1); op < opMax; op++ {
+	for op := wire.Opcode(1); op < wire.NumOpcodes; op++ {
 		if m.Requests[op].Load() == 0 {
 			continue
 		}
@@ -184,6 +185,10 @@ type eventsPayload struct {
 type metricsPayload struct {
 	Server Snapshot        `json:"server"`
 	Engine iostat.Snapshot `json:"engine"`
+	// EngineError is the engine's sticky background error (a failed
+	// flush or compaction); writes fail until the engine is reopened.
+	// Empty while healthy.
+	EngineError string `json:"engine_error,omitempty"`
 	// EngineLatencies carries the engine's own per-operation histograms
 	// (present only when the engine tracks latency). Unlike Server.Ops,
 	// these exclude network, queueing, and commit-group wait. The "stall"
@@ -231,6 +236,9 @@ func (s *Server) payload() metricsPayload {
 			Engine: s.cfg.DB.Events(),
 		},
 	}
+	if err := s.cfg.DB.BackgroundError(); err != nil {
+		p.EngineError = err.Error()
+	}
 	if s.sharded != nil {
 		p.EngineShards = s.sharded.ShardStats()
 	}
@@ -263,7 +271,8 @@ type SketchSnapshot struct {
 // MetricsHandler returns an HTTP handler exposing /metrics (JSON of
 // server counters, per-opcode latency quantiles, the engine's iostat
 // snapshot, and both event rings), /events (the event rings alone), and
-// /healthz (200 while serving, 503 while draining).
+// /healthz (200 while serving; 503 while draining, or with the error
+// text while the engine holds a sticky background error).
 func (s *Server) MetricsHandler() http.Handler {
 	writeJSON := func(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
@@ -281,6 +290,10 @@ func (s *Server) MetricsHandler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
+		if err := s.cfg.DB.BackgroundError(); err != nil {
+			http.Error(w, "engine error: "+err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 		w.Write([]byte("ok\n"))

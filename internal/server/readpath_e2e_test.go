@@ -1,7 +1,7 @@
 // End-to-end coverage for the batched read path: MULTIGET frames
 // against both sharded (parallel fan-out) and unsharded (sequential
 // fallback) engines, and the streamed SCAN path checked as a property
-// against the paged scan and a flat-map oracle — including a mid-stream
+// against the engine's own Scan and a flat-map oracle — including a mid-stream
 // connection kill that must surface as a transport error on the client
 // and leave no goroutines behind on the server.
 package server_test
@@ -146,7 +146,7 @@ func runMultiGetSuite(t *testing.T, cl *client.Client) {
 }
 
 // TestScanStreamProperty: at shard counts 1, 3, and 8, a streamed scan,
-// the paged scan it replaced, and a sorted flat map must agree exactly —
+// the engine's own Scan, and a sorted flat map must agree exactly —
 // full range and sub-ranges — with the server's page size forced small
 // so the stream spans many frames. Concurrent streams on one connection
 // exercise the demux under the race detector (make test runs this
@@ -154,7 +154,7 @@ func runMultiGetSuite(t *testing.T, cl *client.Client) {
 func TestScanStreamProperty(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv, _ := startShardedServerCfg(t, shards, func(c *server.Config) {
+			srv, db := startShardedServerCfg(t, shards, func(c *server.Config) {
 				c.MaxScanResults = 17 // many frames per stream
 			})
 			cl := dialTest(t, srv, nil)
@@ -217,10 +217,10 @@ func TestScanStreamProperty(t *testing.T) {
 			for _, r := range ranges {
 				exp := inRange(r[0], r[1])
 				streamed := collect(cl.ScanStream, r[0], r[1])
-				paged := collect(cl.ScanAllPaged, r[0], r[1])
+				engine := collect(db.Scan, r[0], r[1])
 				scanAll := collect(cl.ScanAll, r[0], r[1])
 				for name, got := range map[string][]string{
-					"streamed": streamed, "paged": paged, "scanall": scanAll,
+					"streamed": streamed, "engine": engine, "scanall": scanAll,
 				} {
 					if len(got) != len(exp) {
 						t.Fatalf("%s saw %d keys, oracle %d (range %q..%q)",

@@ -47,7 +47,7 @@ func serveEngine(t *testing.T, cfg server.Config) (*server.Server, func()) {
 
 // TestReplicationE2E is the acceptance path: a primary under concurrent
 // writes takes an online CHECKPOINT; a follower bootstraps from it,
-// streams the WAL, serves read-your-writes GETSEQ, and proves zero
+// streams the WAL, serves read-your-writes min-seq GETs, and proves zero
 // divergence by Merkle comparison. Acked-but-unshipped writes are absent
 // from the follower only until the stream resumes — never torn.
 func TestReplicationE2E(t *testing.T) {
@@ -163,7 +163,7 @@ func TestReplicationE2E(t *testing.T) {
 	}
 
 	// Read-your-writes: the primary's write ack carries a sequence
-	// coordinate; GETSEQ on the follower waits for it, then serves.
+	// coordinate; a min-seq GET on the follower waits for it, then serves.
 	acks, err := cl.PutSeq([]byte("ryw-key"), []byte("ryw-value"))
 	if err != nil {
 		t.Fatal(err)

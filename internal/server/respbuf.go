@@ -13,7 +13,7 @@ import (
 )
 
 // respBufMaxRetain caps the capacity the pool keeps. A response that had
-// to grow past it (a big SCAN page, a huge STATS body) is let go to the
+// to grow past it (a big scan page, a huge STATS body) is let go to the
 // GC instead of pinning that much memory in the pool forever.
 const respBufMaxRetain = 1 << 20
 

@@ -1,3 +1,9 @@
+// Package server implements the network serving layer over the storage
+// engine: the internal/wire protocol with per-connection pipelining, a
+// group-commit loop that coalesces concurrent writes into one engine
+// batch and a single WAL fsync, token-bucket backpressure, connection
+// limits, read/write deadlines, graceful drain on shutdown, and live
+// metrics and health over HTTP.
 package server
 
 import (
@@ -14,6 +20,7 @@ import (
 	"lsmkv/internal/replica"
 	"lsmkv/internal/sketch"
 	"lsmkv/internal/tuner"
+	"lsmkv/internal/wire"
 )
 
 // Engine is the storage surface the server fronts. Both *core.DB and the
@@ -31,6 +38,10 @@ type Engine interface {
 	Latencies() map[string]iostat.LatencySummary
 	// Events returns the engine's retained lifecycle events, oldest first.
 	Events() []iostat.Event
+	// BackgroundError returns the engine's sticky background failure (a
+	// flush or compaction that could not complete), or nil while healthy.
+	// /healthz and /metrics report it.
+	BackgroundError() error
 	Flush() error
 }
 
@@ -55,7 +66,7 @@ type ShardedEngine interface {
 
 // SeqEngine is the optional interface an engine with per-shard sequence
 // watermarks exposes (the public *lsmkv.DB). It unlocks sequence-carrying
-// write acks, the GETSEQ read-your-writes opcode, and the engine_seq
+// write acks, the read-your-writes GET (min-seq), and the engine_seq
 // field in STATS//metrics.
 type SeqEngine interface {
 	Engine
@@ -136,8 +147,7 @@ type Config struct {
 	// MaxCommitOps bounds the ops folded into one engine batch. Default
 	// 4096.
 	MaxCommitOps int
-	// MaxScanResults bounds pairs per SCAN response (the client sees
-	// More=true and continues from the last key). Default 4096.
+	// MaxScanResults bounds pairs per SCANSTREAM frame. Default 4096.
 	MaxScanResults int
 	// Repl, when set, serves REPLSYNC streams from this primary-side
 	// shipper. The caller owns its lifecycle and must have wired it to the
@@ -165,7 +175,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.MaxConns = 1024
 	}
 	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = DefaultMaxFrameBytes
+		c.MaxFrameBytes = wire.DefaultMaxFrameBytes
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute

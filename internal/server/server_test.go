@@ -1,11 +1,15 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +18,7 @@ import (
 	"lsmkv/internal/core"
 	"lsmkv/internal/server"
 	"lsmkv/internal/vfs"
+	"lsmkv/internal/wire"
 )
 
 // slowSyncFS injects a fixed latency into every file Sync, modeling a
@@ -148,15 +153,16 @@ func TestServerBasicOps(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	pairs, more, err := cl.Scan([]byte("a"), []byte("z"), 0)
+	var pairs []string
+	err = cl.ScanStream([]byte("a"), []byte("z"), func(k, v []byte) bool {
+		pairs = append(pairs, string(k)+"="+string(v))
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if more || len(pairs) != 2 {
-		t.Fatalf("scan: %d pairs (more=%v), want 2", len(pairs), more)
-	}
-	if string(pairs[0].Key) != "c1" || string(pairs[1].Key) != "c2" {
-		t.Fatalf("scan keys: %q %q", pairs[0].Key, pairs[1].Key)
+	if len(pairs) != 2 || pairs[0] != "c1=x" || pairs[1] != "c2=y" {
+		t.Fatalf("scan: %q, want [c1=x c2=y]", pairs)
 	}
 	body, err := cl.Stats()
 	if err != nil {
@@ -184,15 +190,9 @@ func TestScanPagination(t *testing.T) {
 	if err := cl.Batch(ops); err != nil {
 		t.Fatal(err)
 	}
-	pairs, more, err := cl.Scan([]byte("k"), []byte("l"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !more || len(pairs) != 10 {
-		t.Fatalf("page 1: %d pairs more=%v, want 10 true", len(pairs), more)
-	}
+	// 37 keys at 10 pairs per frame: the scan spans four frames.
 	seen := 0
-	err = cl.ScanAll([]byte("k"), []byte("l"), func(k, v []byte) bool {
+	err := cl.ScanAll([]byte("k"), []byte("l"), func(k, v []byte) bool {
 		want := fmt.Sprintf("k%03d", seen)
 		if string(k) != want {
 			t.Fatalf("ScanAll order: got %q want %q", k, want)
@@ -458,7 +458,52 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMalformedBodyKeepsConnection: a parseable frame with a bad body
+// TestHealthzReportsEngineError: once a flush fails (table creates fail
+// through vfs.Faulty) the engine holds a sticky background error, and
+// /healthz turns from 200 to 503 with the error text, /metrics carries
+// it, and writes over the wire fail.
+func TestHealthzReportsEngineError(t *testing.T) {
+	fs := vfs.NewFaulty(vfs.NewMem())
+	srv, db := startServer(t, fs, nil)
+	cl := dialTest(t, srv, nil)
+	for i := 0; i < 100; i++ {
+		if err := cl.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := srv.MetricsHandler()
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
+	if rec := get("/healthz"); rec.Code != 200 {
+		t.Fatalf("/healthz before the fault: %d %s", rec.Code, rec.Body)
+	}
+
+	fs.Inject(vfs.Rule{Op: vfs.OpCreate, Path: ".sst", Repeat: true})
+	if err := db.Flush(); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Flush with table creates failing = %v, want the injected fault", err)
+	}
+	rec := get("/healthz")
+	if rec.Code != 503 || !strings.Contains(rec.Body.String(), vfs.ErrInjected.Error()) {
+		t.Fatalf("/healthz after the fault: %d %q, want 503 with the error", rec.Code, rec.Body)
+	}
+	var payload struct {
+		EngineError string `json:"engine_error"`
+	}
+	if err := json.Unmarshal(get("/metrics").Body.Bytes(), &payload); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(payload.EngineError, vfs.ErrInjected.Error()) {
+		t.Fatalf("/metrics engine_error = %q", payload.EngineError)
+	}
+	if err := cl.Put([]byte("after"), []byte("v")); err == nil {
+		t.Fatal("a write succeeded on an engine with a sticky background error")
+	}
+}
+
+// TestMalformedFrames: a parseable frame with a bad body
 // gets an error response and the connection keeps serving; a broken
 // frame closes the connection.
 func TestMalformedFrames(t *testing.T) {
@@ -470,30 +515,30 @@ func TestMalformedFrames(t *testing.T) {
 	}
 	defer nc.Close()
 
-	// Valid frame, unknown opcode -> server.StatusError, connection survives.
+	// Valid frame, unknown opcode -> wire.StatusError, connection survives.
 	bad := []byte{9, 0, 0, 0, 7, 0, 0, 0, 99, 1, 2, 3, 4}
 	if _, err := nc.Write(bad); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := server.ReadFrame(nc, server.DefaultMaxFrameBytes)
+	payload, err := wire.ReadFrame(nc, wire.DefaultMaxFrameBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := server.DecodeResponse(payload, false)
-	if err != nil || resp.Status != server.StatusError {
-		t.Fatalf("want server.StatusError response, got %+v, %v", resp, err)
+	resp, err := wire.DecodeResponse(payload, false)
+	if err != nil || resp.Status != wire.StatusError {
+		t.Fatalf("want wire.StatusError response, got %+v, %v", resp, err)
 	}
 	// Still serving: a ping round-trips.
-	ping := server.AppendRequest(nil, &server.Request{ID: 5, Op: server.OpPing})
+	ping := wire.AppendRequest(nil, &wire.Request{ID: 5, Op: wire.OpPing})
 	frame := append([]byte{byte(len(ping)), 0, 0, 0}, ping...)
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	payload, err = server.ReadFrame(nc, server.DefaultMaxFrameBytes)
+	payload, err = wire.ReadFrame(nc, wire.DefaultMaxFrameBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, _ := server.DecodeResponse(payload, false); resp.ID != 5 || resp.Status != server.StatusOK {
+	if resp, _ := wire.DecodeResponse(payload, false); resp.ID != 5 || resp.Status != wire.StatusOK {
 		t.Fatalf("ping after malformed body: %+v", resp)
 	}
 
@@ -501,18 +546,71 @@ func TestMalformedFrames(t *testing.T) {
 	if _, err := nc.Write([]byte{0xFF, 0xFF, 0xFF, 0x7F}); err != nil {
 		t.Fatal(err)
 	}
-	payload, err = server.ReadFrame(nc, server.DefaultMaxFrameBytes)
+	payload, err = wire.ReadFrame(nc, wire.DefaultMaxFrameBytes)
 	if err == nil {
-		if resp, _ := server.DecodeResponse(payload, false); resp.Status != server.StatusError {
-			t.Fatalf("want server.StatusError for oversized frame, got %+v", resp)
+		if resp, _ := wire.DecodeResponse(payload, false); resp.Status != wire.StatusError {
+			t.Fatalf("want wire.StatusError for oversized frame, got %+v", resp)
 		}
 		// Connection must now be closed by the server.
 		nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-		if _, err := server.ReadFrame(nc, server.DefaultMaxFrameBytes); err == nil {
+		if _, err := wire.ReadFrame(nc, wire.DefaultMaxFrameBytes); err == nil {
 			t.Fatal("connection still open after framing loss")
 		}
 	}
 	if got := srv.Metrics().DecodeErrors.Load(); got < 2 {
 		t.Fatalf("DecodeErrors = %d, want >= 2", got)
+	}
+}
+
+// TestRetiredOpcodes: requests using the retired paged SCAN (5), GETSEQ
+// (11) and PUTTTL (15) opcodes each get StatusError on their own request
+// ID, and the connection keeps serving.
+func TestRetiredOpcodes(t *testing.T) {
+	srv, _ := startServer(t, vfs.NewMem(), nil)
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	bw := bufio.NewWriter(nc)
+	roundTrip := func(payload []byte) wire.Response {
+		t.Helper()
+		if err := wire.WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		raw, err := wire.ReadFrame(nc, wire.DefaultMaxFrameBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeResponse(raw, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	// Each body is the retired opcode's old encoding.
+	retired := []struct {
+		op   byte
+		body []byte
+	}{
+		{5, []byte{1, 'a', 1, 'z', 0}},        // SCAN lo hi limit
+		{11, []byte{1, 'k', 7}},               // GETSEQ key minSeq
+		{15, []byte{1, 'k', 1, 'v', 0xE8, 7}}, // PUTTTL key value ttl
+	}
+	for i, r := range retired {
+		id := uint32(100 + i)
+		payload := append(binary.LittleEndian.AppendUint32(nil, id), r.op)
+		resp := roundTrip(append(payload, r.body...))
+		if resp.ID != id || resp.Status != wire.StatusError {
+			t.Fatalf("opcode %d: got %+v, want StatusError on ID %d", r.op, resp, id)
+		}
+		ping := roundTrip(wire.AppendRequest(nil, &wire.Request{ID: id + 10, Op: wire.OpPing}))
+		if ping.ID != id+10 || ping.Status != wire.StatusOK {
+			t.Fatalf("ping after opcode %d: %+v", r.op, ping)
+		}
 	}
 }

@@ -496,6 +496,20 @@ func (db *DB) Latencies() map[string]iostat.LatencySummary {
 	return db.lat.Summaries()
 }
 
+// BackgroundError returns the first sticky background error among the
+// shards, naming the shard when there is more than one, or nil.
+func (db *DB) BackgroundError() error {
+	for i, eng := range db.engines {
+		if err := eng.BackgroundError(); err != nil {
+			if db.n == 1 {
+				return err
+			}
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Events returns every shard's lifecycle events merged into one
 // time-ordered stream, each event tagged with its shard.
 func (db *DB) Events() []iostat.Event {

@@ -592,6 +592,10 @@ type Event = iostat.Event
 // Events returns the retained engine lifecycle events, oldest first.
 func (db *DB) Events() []Event { return db.inner.Events() }
 
+// BackgroundError returns the sticky flush or compaction failure that
+// stops writes until the database is reopened, or nil while healthy.
+func (db *DB) BackgroundError() error { return db.inner.BackgroundError() }
+
 // LevelInfo describes one level of the tree.
 type LevelInfo = core.LevelInfo
 

@@ -58,20 +58,6 @@ func (g *gate) pass() {
 	}
 }
 
-// parkedNow reports, without blocking, whether an operation has parked
-// at the gate since the last such report.
-func (g *gate) parkedNow() bool {
-	g.mu.Lock()
-	parked := g.parked
-	g.mu.Unlock()
-	select {
-	case <-parked:
-		return true
-	default:
-		return false
-	}
-}
-
 // waitParked blocks until an operation parks at the gate.
 func (g *gate) waitParked(t *testing.T) {
 	t.Helper()
